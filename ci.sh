@@ -21,6 +21,9 @@ fi
 echo "== cargo test -q =="
 cargo test --workspace -q
 
+echo "== perfbench self-test (tiny scale: correctness gates, metric names and units) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== trace smoke (tiny workload, self-checked Chrome JSON + CSV) =="
 TRACE_TMP="$(mktemp -d)"
 trap 'rm -rf "$TRACE_TMP"' EXIT

@@ -5,8 +5,13 @@
 //! `(key, ptr, len)` where the pointer refers to a document (leaf) or a
 //! child node (internal); an internal entry's key is the **max key** of its
 //! child's subtree. A leaf entry with `len == 0` is a deletion tombstone.
+//!
+//! Because appended nodes never change, their in-memory form is shared:
+//! keys are reference-counted, so copying an entry (into a rewritten path
+//! node or a parent's max-key) never copies key bytes.
 
 use simkit::crc32;
+use std::rc::Rc;
 
 /// Target serialized node size (couchstore uses ~4KB chunks).
 pub const NODE_CAP: usize = 4096;
@@ -20,7 +25,7 @@ pub const KIND_INTERNAL: u8 = 1;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Entry {
     /// Key (leaf) or subtree max key (internal).
-    pub key: Vec<u8>,
+    pub key: Rc<[u8]>,
     /// Byte offset of the document / child node.
     pub ptr: u64,
     /// Length of the document / child node; 0 marks a leaf tombstone.
@@ -83,7 +88,7 @@ pub fn decode_node(buf: &[u8]) -> Option<(u8, Vec<Entry>)> {
         if pos + klen > buf.len() {
             return None;
         }
-        entries.push(Entry { key: buf[pos..pos + klen].to_vec(), ptr, len });
+        entries.push(Entry { key: buf[pos..pos + klen].into(), ptr, len });
         pos += klen;
     }
     if pos != buf.len() {
@@ -122,7 +127,7 @@ pub fn split_entries(entries: Vec<Entry>) -> Vec<Vec<Entry>> {
 /// Locate the child index an internal node routes `key` to: the first entry
 /// whose max-key is `>= key`, else the last entry.
 pub fn route(entries: &[Entry], key: &[u8]) -> usize {
-    match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
+    match entries.binary_search_by(|e| (*e.key).cmp(key)) {
         Ok(i) => i,
         Err(i) => i.min(entries.len() - 1),
     }
@@ -133,7 +138,7 @@ mod tests {
     use super::*;
 
     fn entry(k: &str, ptr: u64) -> Entry {
-        Entry { key: k.as_bytes().to_vec(), ptr, len: 10 }
+        Entry { key: k.as_bytes().into(), ptr, len: 10 }
     }
 
     #[test]
@@ -198,7 +203,7 @@ mod tests {
                 let key: Vec<u8> = (0..klen).map(|_| r.gen::<u8>()).collect();
                 m.insert(key, (r.gen::<u64>(), r.gen_range(1..10_000u32)));
             }
-            m.into_iter().map(|(key, (ptr, len))| Entry { key, ptr, len }).collect()
+            m.into_iter().map(|(key, (ptr, len))| Entry { key: key.into(), ptr, len }).collect()
         }
 
         #[test]

@@ -19,13 +19,11 @@ pub mod append;
 pub mod cowtree;
 
 use append::{AppendSpace, BLOCK};
-use cowtree::{
-    decode_node, encode_node, node_size, route, split_entries, Entry, KIND_INTERNAL, KIND_LEAF,
-    NODE_CAP,
-};
+use cowtree::{decode_node, encode_node, route, split_entries, Entry, KIND_INTERNAL, KIND_LEAF};
 use forensics::{Ledger, UnitKind};
 use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
 use std::collections::HashMap;
+use std::rc::Rc;
 use storage::device::BlockDevice;
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
@@ -35,6 +33,11 @@ use wal::LogRecord;
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
 /// Offset sentinel: "no such header".
 const NO_OFF: u64 = u64::MAX;
+
+/// A decoded node (kind, entries) as the node cache holds it. Appended
+/// nodes never change, so the cache and every reader share one immutable
+/// copy instead of cloning it.
+type Node = Rc<(u8, Vec<Entry>)>;
 
 /// Store configuration.
 #[derive(Debug, Clone, Copy)]
@@ -123,10 +126,12 @@ pub struct DocStore<D: BlockDevice> {
     /// Commit headers written since the last anchor.
     headers_since_ckpt: u64,
     cfg: DocStoreConfig,
-    /// Memory-first object cache (Couchbase's managed-cache layer).
-    doc_cache: HashMap<Vec<u8>, Option<Vec<u8>>>,
-    /// Immutable node cache (OS page cache stand-in; nodes never change).
-    node_cache: HashMap<u64, (u8, Vec<Entry>)>,
+    /// Memory-first object cache (Couchbase's managed-cache layer). Keys
+    /// share their bytes with the tree entries.
+    doc_cache: HashMap<Rc<[u8]>, Option<Vec<u8>>>,
+    /// Node cache (OS page cache stand-in) over the live tree only: a
+    /// path node superseded by a copy-on-write update is dropped.
+    node_cache: HashMap<u64, Node>,
     updates_since_sync: u32,
     stats: DocStats,
     /// Optional telemetry sink; see [`DocStore::attach_telemetry`].
@@ -139,7 +144,7 @@ pub struct DocStore<D: BlockDevice> {
 /// [`LogRecord::DocSet`] — the same versioned, CRC-guarded framing the WAL
 /// uses, so the append file's record stream is decodable on its own.
 fn frame_doc(key: &[u8], doc: &[u8]) -> Vec<u8> {
-    LogRecord::DocSet { key: key.to_vec(), value: doc.to_vec() }.encode()
+    LogRecord::encode_doc_set(key, doc)
 }
 
 /// Unframe a [`frame_doc`]'d record; `None` on corruption.
@@ -264,21 +269,38 @@ impl<D: BlockDevice> DocStore<D> {
         self.doc_cache.clear();
     }
 
-    fn read_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<(u8, Vec<Entry>)>, Nanos) {
+    /// A node through the cache: shared, loaded on a miss.
+    fn read_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<Node>, Nanos) {
         if let Some(n) = self.node_cache.get(&ptr) {
-            return (Some(n.clone()), now);
+            return (Some(Rc::clone(n)), now);
         }
+        let (node, t) = self.load_node(ptr, len, now);
+        let node = node.map(Rc::new);
+        if let Some(n) = &node {
+            self.node_cache.insert(ptr, Rc::clone(n));
+        }
+        (node, t)
+    }
+
+    /// A path node about to be superseded by a copy-on-write update: taken
+    /// out of the cache (nothing reachable from the new root points at it)
+    /// and returned owned, or loaded without caching it.
+    fn take_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<(u8, Vec<Entry>)>, Nanos) {
+        match self.node_cache.remove(&ptr) {
+            Some(n) => (Some(Rc::try_unwrap(n).unwrap_or_else(|shared| (*shared).clone())), now),
+            None => self.load_node(ptr, len, now),
+        }
+    }
+
+    fn load_node(&mut self, ptr: u64, len: u32, now: Nanos) -> (Option<(u8, Vec<Entry>)>, Nanos) {
         match self.space.read(&mut self.vol, ptr, len as usize, now) {
-            Ok((bytes, t)) => match decode_node(&bytes) {
-                Some(node) => {
-                    self.node_cache.insert(ptr, node.clone());
-                    (Some(node), t)
-                }
-                None => {
+            Ok((bytes, t)) => {
+                let node = decode_node(&bytes);
+                if node.is_none() {
                     self.stats.corrupt_reads += 1;
-                    (None, t)
                 }
-            },
+                (node, t)
+            }
             Err(_) => {
                 self.stats.corrupt_reads += 1;
                 (None, now)
@@ -286,12 +308,21 @@ impl<D: BlockDevice> DocStore<D> {
         }
     }
 
-    fn append_node(&mut self, kind: u8, entries: &[Entry]) -> (u64, u32) {
-        let bytes = encode_node(kind, entries);
+    /// Append one node and return the parent entry that points at it (its
+    /// max key, offset and length). The entries move into the node cache.
+    fn append_node(&mut self, kind: u8, entries: Vec<Entry>) -> Entry {
+        let bytes = encode_node(kind, &entries);
         let ptr = self.space.append(&bytes);
         self.stats.bytes_appended += bytes.len() as u64;
-        self.node_cache.insert(ptr, (kind, entries.to_vec()));
-        (ptr, bytes.len() as u32)
+        let key = Rc::clone(&entries.last().expect("nodes are non-empty").key);
+        self.node_cache.insert(ptr, Rc::new((kind, entries)));
+        Entry { key, ptr, len: bytes.len() as u32 }
+    }
+
+    /// Append `entries` as one node of `kind`, or several when they do not
+    /// fit one, and return the parent entries that point at them.
+    fn append_split(&mut self, kind: u8, entries: Vec<Entry>) -> Vec<Entry> {
+        split_entries(entries).into_iter().map(|c| self.append_node(kind, c)).collect()
     }
 
     /// Recursive COW insert. Returns the replacement entries for this
@@ -301,90 +332,66 @@ impl<D: BlockDevice> DocStore<D> {
         ptr: u64,
         len: u32,
         level: u32,
-        key: &[u8],
         doc_entry: &Entry,
         now: Nanos,
     ) -> (Vec<Entry>, Nanos) {
-        let (node, t) = self.read_node(ptr, len, now);
+        let (node, t) = self.take_node(ptr, len, now);
         let Some((kind, mut entries)) = node else {
             // Corrupt node: rebuild this subtree as a single-leaf with the
             // new entry (data under it is lost; counted in corrupt_reads).
-            let (p, l) = self.append_node(KIND_LEAF, std::slice::from_ref(doc_entry));
-            return (vec![Entry { key: key.to_vec(), ptr: p, len: l }], now);
+            return (vec![self.append_node(KIND_LEAF, vec![doc_entry.clone()])], now);
         };
         if level == 0 {
             debug_assert_eq!(kind, KIND_LEAF);
-            match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
+            match entries.binary_search_by(|e| e.key.cmp(&doc_entry.key)) {
                 Ok(i) => entries[i] = doc_entry.clone(),
                 Err(i) => entries.insert(i, doc_entry.clone()),
             }
-            let chunks = split_entries(entries);
-            let out = chunks
-                .into_iter()
-                .map(|c| {
-                    let max_key = c.last().expect("chunks non-empty").key.clone();
-                    let (p, l) = self.append_node(KIND_LEAF, &c);
-                    Entry { key: max_key, ptr: p, len: l }
-                })
-                .collect();
-            (out, t)
+            (self.append_split(KIND_LEAF, entries), t)
         } else {
             debug_assert_eq!(kind, KIND_INTERNAL);
-            let idx = route(&entries, key);
-            let child = entries[idx].clone();
-            let (repl, t) = self.insert_rec(child.ptr, child.len, level - 1, key, doc_entry, t);
+            let idx = route(&entries, &doc_entry.key);
+            let (child_ptr, child_len) = (entries[idx].ptr, entries[idx].len);
+            let (repl, t) = self.insert_rec(child_ptr, child_len, level - 1, doc_entry, t);
             entries.splice(idx..idx + 1, repl);
-            let chunks = split_entries(entries);
-            let out = chunks
-                .into_iter()
-                .map(|c| {
-                    let max_key = c.last().expect("chunks non-empty").key.clone();
-                    let (p, l) = self.append_node(KIND_INTERNAL, &c);
-                    Entry { key: max_key, ptr: p, len: l }
-                })
-                .collect();
-            (out, t)
+            (self.append_split(KIND_INTERNAL, entries), t)
         }
     }
 
-    fn apply_tree_update(&mut self, key: &[u8], doc_entry: Entry, now: Nanos) -> Nanos {
+    fn apply_tree_update(&mut self, doc_entry: Entry, now: Nanos) -> Nanos {
         let mut t = now;
-        let replacements = match self.root {
-            None => {
-                let (p, l) = self.append_node(KIND_LEAF, std::slice::from_ref(&doc_entry));
-                vec![Entry { key: key.to_vec(), ptr: p, len: l }]
-            }
+        let mut tops = match self.root {
+            None => vec![self.append_node(KIND_LEAF, vec![doc_entry])],
             Some((rp, rl)) => {
                 let depth = self.depth;
-                let (repl, t2) = self.insert_rec(rp, rl, depth, key, &doc_entry, now);
+                let (repl, t2) = self.insert_rec(rp, rl, depth, &doc_entry, now);
                 t = t2;
                 repl
             }
         };
         // Grow the root while the replacement set does not fit one node.
-        let mut tops = replacements;
         while tops.len() > 1 {
-            if node_size(&tops) <= NODE_CAP {
-                let max_key = tops.last().expect("non-empty").key.clone();
-                let (p, l) = self.append_node(KIND_INTERNAL, &tops);
-                tops = vec![Entry { key: max_key, ptr: p, len: l }];
-                self.depth += 1;
-            } else {
-                let chunks = split_entries(tops);
-                tops = chunks
-                    .into_iter()
-                    .map(|c| {
-                        let max_key = c.last().expect("non-empty").key.clone();
-                        let (p, l) = self.append_node(KIND_INTERNAL, &c);
-                        Entry { key: max_key, ptr: p, len: l }
-                    })
-                    .collect();
-                self.depth += 1;
-            }
+            tops = self.append_split(KIND_INTERNAL, tops);
+            self.depth += 1;
         }
         let top = &tops[0];
         self.root = Some((top.ptr, top.len));
         t
+    }
+
+    /// Record a document (`None`: deleted) in the object cache, overwriting
+    /// a cached value in place.
+    fn cache_doc(&mut self, key: &Rc<[u8]>, doc: Option<&[u8]>) {
+        match (self.doc_cache.get_mut(&**key), doc) {
+            (Some(Some(v)), Some(d)) => {
+                v.clear();
+                v.extend_from_slice(d);
+            }
+            (Some(slot), d) => *slot = d.map(<[u8]>::to_vec),
+            (None, d) => {
+                self.doc_cache.insert(Rc::clone(key), d.map(<[u8]>::to_vec));
+            }
+        }
     }
 
     /// After a mutation: push bytes to the device, fsync per batch size, and
@@ -470,9 +477,10 @@ impl<D: BlockDevice> DocStore<D> {
         let framed = frame_doc(key, doc);
         let ptr = self.space.append(&framed);
         self.stats.bytes_appended += framed.len() as u64;
-        let entry = Entry { key: key.to_vec(), ptr, len: framed.len() as u32 };
-        let t = self.apply_tree_update(key, entry, now);
-        self.doc_cache.insert(key.to_vec(), Some(doc.to_vec()));
+        let key: Rc<[u8]> = key.into();
+        let entry = Entry { key: Rc::clone(&key), ptr, len: framed.len() as u32 };
+        let t = self.apply_tree_update(entry, now);
+        self.cache_doc(&key, Some(doc));
         let done = self.finish_update(t);
         self.note_op("doc.set", now, done);
         done
@@ -491,9 +499,10 @@ impl<D: BlockDevice> DocStore<D> {
         let framed = LogRecord::DocDelete { key: key.to_vec() }.encode();
         self.space.append(&framed);
         self.stats.bytes_appended += framed.len() as u64;
-        let entry = Entry { key: key.to_vec(), ptr: 0, len: 0 };
-        let t = self.apply_tree_update(key, entry, now);
-        self.doc_cache.insert(key.to_vec(), None);
+        let key: Rc<[u8]> = key.into();
+        let entry = Entry { key: Rc::clone(&key), ptr: 0, len: 0 };
+        let t = self.apply_tree_update(entry, now);
+        self.cache_doc(&key, None);
         let done = self.finish_update(t);
         self.note_op("doc.delete", now, done);
         done
@@ -522,11 +531,12 @@ impl<D: BlockDevice> DocStore<D> {
         loop {
             let (node, t2) = self.read_node(ptr, len, t);
             t = t2;
-            let Some((kind, entries)) = node else {
+            let Some(node) = node else {
                 return (None, t);
             };
-            if kind == KIND_LEAF {
-                let found = match entries.binary_search_by(|e| e.key.as_slice().cmp(key)) {
+            let (kind, entries) = &*node;
+            if *kind == KIND_LEAF {
+                let found = match entries.binary_search_by(|e| (*e.key).cmp(key)) {
                     Ok(i) => {
                         let e = &entries[i];
                         if e.len == 0 {
@@ -553,16 +563,16 @@ impl<D: BlockDevice> DocStore<D> {
                     Err(_) => None,
                 };
                 if let Some(doc) = &found {
-                    self.doc_cache.insert(key.to_vec(), Some(doc.clone()));
+                    self.doc_cache.insert(key.into(), Some(doc.clone()));
                 }
                 return (found, t);
             }
             if entries.is_empty() {
                 return (None, t);
             }
-            let idx = route(&entries, key);
+            let idx = route(entries, key);
             // A key greater than every max-key cannot be in the tree.
-            if key > entries[idx].key.as_slice() {
+            if key > &*entries[idx].key {
                 return (None, t);
             }
             ptr = entries[idx].ptr;
@@ -572,7 +582,7 @@ impl<D: BlockDevice> DocStore<D> {
 
     /// All live `(key, doc)` pairs in order (compaction walk).
     #[allow(clippy::type_complexity)]
-    fn collect_live(&mut self, now: Nanos) -> (Vec<(Vec<u8>, Vec<u8>)>, Nanos) {
+    fn collect_live(&mut self, now: Nanos) -> (Vec<(Rc<[u8]>, Vec<u8>)>, Nanos) {
         let Some((rp, rl)) = self.root else {
             return (Vec::new(), now);
         };
@@ -582,8 +592,9 @@ impl<D: BlockDevice> DocStore<D> {
         while let Some((ptr, len, level)) = stack.pop() {
             let (node, t2) = self.read_node(ptr, len, t);
             t = t2;
-            let Some((kind, entries)) = node else { continue };
-            if kind == KIND_LEAF {
+            let Some(node) = node else { continue };
+            let (kind, entries) = &*node;
+            if *kind == KIND_LEAF {
                 for e in entries {
                     if e.len == 0 {
                         continue;
@@ -593,12 +604,12 @@ impl<D: BlockDevice> DocStore<D> {
                     {
                         t = t3;
                         if let Some(body) = unframe_doc(&framed) {
-                            out.push((e.key, body));
+                            out.push((Rc::clone(&e.key), body));
                         }
                     }
                 }
             } else {
-                for e in entries.into_iter().rev() {
+                for e in entries.iter().rev() {
                     stack.push((e.ptr, e.len, level.saturating_sub(1)));
                 }
             }
@@ -629,18 +640,12 @@ impl<D: BlockDevice> DocStore<D> {
             let framed = frame_doc(key, doc);
             let ptr = self.space.append(&framed);
             self.stats.bytes_appended += framed.len() as u64;
-            level_entries.push(Entry { key: key.clone(), ptr, len: framed.len() as u32 });
+            level_entries.push(Entry { key: Rc::clone(key), ptr, len: framed.len() as u32 });
         }
         if !level_entries.is_empty() {
             let mut kind = KIND_LEAF;
             loop {
-                let chunks = split_entries(level_entries);
-                let mut next: Vec<Entry> = Vec::with_capacity(chunks.len());
-                for c in chunks {
-                    let max_key = c.last().expect("non-empty").key.clone();
-                    let (p, l) = self.append_node(kind, &c);
-                    next.push(Entry { key: max_key, ptr: p, len: l });
-                }
+                let next = self.append_split(kind, level_entries);
                 if next.len() == 1 {
                     self.root = Some((next[0].ptr, next[0].len));
                     break;
@@ -818,6 +823,47 @@ mod tests {
         assert_eq!(tel.anatomy_violations(), 0);
         assert_eq!(tel.frame_depth(), 0);
         assert!(!tel.outliers_for("doc.set").is_empty());
+    }
+
+    /// Offsets of every node reachable from the root.
+    fn reachable_nodes(s: &mut DocStore<MemDevice>) -> std::collections::HashSet<u64> {
+        let mut seen = std::collections::HashSet::new();
+        let mut stack: Vec<(u64, u32)> = s.root.into_iter().collect();
+        while let Some((ptr, len)) = stack.pop() {
+            seen.insert(ptr);
+            let (node, _) = s.read_node(ptr, len, 0);
+            let node = node.expect("live node decodes");
+            if node.0 == KIND_INTERNAL {
+                stack.extend(node.1.iter().map(|e| (e.ptr, e.len)));
+            }
+        }
+        seen
+    }
+
+    #[test]
+    fn node_cache_holds_only_the_live_tree() {
+        let mut s = store(10);
+        let zipf = simkit::dist::ScrambledZipfian::new(1000);
+        let mut r = simkit::dist::rng(0xD0C5);
+        let mut latest = HashMap::new();
+        let mut t = 0;
+        for i in 0..2000u64 {
+            let key = format!("user{:06}", zipf.sample(&mut r));
+            t = s.set(key.as_bytes(), &doc(i), t);
+            latest.insert(key, i);
+        }
+        assert!(s.depth() >= 1, "the updates must build a multi-level tree");
+        let cached: Vec<u64> = s.node_cache.keys().copied().collect();
+        let live = reachable_nodes(&mut s);
+        assert!(cached.len() <= live.len(), "{} cached, {} reachable", cached.len(), live.len());
+        assert!(cached.iter().all(|p| live.contains(p)), "a superseded node stayed cached");
+        s.clear_object_cache();
+        for (key, i) in &latest {
+            let (v, t2) = s.get(key.as_bytes(), t).into_parts();
+            t = t2;
+            assert_eq!(v.as_deref(), Some(&doc(*i)[..]), "{key}");
+        }
+        assert_eq!(s.stats().corrupt_reads, 0);
     }
 
     #[test]

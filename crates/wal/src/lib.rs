@@ -637,17 +637,8 @@ impl Wal {
         wal.checkpoint_lsn = ckpt;
         // Scan forward from the checkpoint.
         let mut lsn = ckpt;
-        let mut block_cache: Option<(u64, Vec<u8>)> = None;
-        let mut read_byte = |wal: &Wal, vol: &mut Volume<D>, off: u64, t: &mut Nanos| -> u8 {
-            let blk = off / BLOCK as u64;
-            if block_cache.as_ref().map(|(b, _)| *b) != Some(blk) {
-                let (file, in_file) = wal.locate(blk);
-                let mut buf = vec![0u8; BLOCK];
-                *t = wal.files[file].read_page(vol, in_file, &mut buf, *t).expect("log block");
-                block_cache = Some((blk, buf));
-            }
-            block_cache.as_ref().unwrap().1[(off % BLOCK as u64) as usize]
-        };
+        let mut cursor = ScanCursor::new();
+        let mut payload = Vec::new();
         loop {
             // A record never exceeds the remaining capacity; stop when the
             // scan has covered a full circle.
@@ -655,9 +646,7 @@ impl Wal {
                 break;
             }
             let mut hdr_bytes = [0u8; REC_HDR];
-            for (i, b) in hdr_bytes.iter_mut().enumerate() {
-                *b = read_byte(&wal, vol, lsn + i as u64, &mut t);
-            }
+            cursor.copy(&wal, vol, lsn, &mut hdr_bytes, &mut t);
             let len = u32::from_le_bytes(hdr_bytes[..4].try_into().unwrap()) as usize;
             let rec_lsn = u64::from_le_bytes(hdr_bytes[4..12].try_into().unwrap());
             let crc = u32::from_le_bytes(hdr_bytes[12..16].try_into().unwrap());
@@ -666,10 +655,8 @@ impl Wal {
                 // lap of the circle (its embedded LSN cannot match).
                 break;
             }
-            let mut payload = vec![0u8; len];
-            for (i, b) in payload.iter_mut().enumerate() {
-                *b = read_byte(&wal, vol, lsn + (REC_HDR + i) as u64, &mut t);
-            }
+            payload.resize(len, 0);
+            cursor.copy(&wal, vol, lsn + REC_HDR as u64, &mut payload, &mut t);
             if crc32(&payload) != crc {
                 // A record frame that matches this position but fails its
                 // CRC is a partially-persisted write: a torn tail.
@@ -697,18 +684,59 @@ impl Wal {
         if tail_off != 0 {
             let blk = lsn / BLOCK as u64;
             let (file, in_file) = wal.locate(blk);
-            let mut buf = vec![0u8; BLOCK];
-            t = wal.files[file].read_page(vol, in_file, &mut buf, t).expect("log block");
-            wal.tail_image[..tail_off].copy_from_slice(&buf[..tail_off]);
+            t = wal.files[file].read_page(vol, in_file, &mut wal.tail_image, t).expect("log block");
             wal.tail_image[tail_off..].fill(0);
         }
         (wal, scan, t)
     }
 }
 
+/// Sequential reader for the recovery scan: holds one log block at a time
+/// and copies contiguous runs out of it. Each stream block is read once,
+/// when the scan first reaches it, so the device sees one read per block in
+/// stream order.
+struct ScanCursor {
+    /// Stream block held in `buf`, if any.
+    blk: Option<u64>,
+    buf: Vec<u8>,
+}
+
+impl ScanCursor {
+    fn new() -> Self {
+        Self { blk: None, buf: vec![0u8; BLOCK] }
+    }
+
+    /// Fill `out` with the stream bytes starting at `off`, advancing `t`
+    /// past every block read this needs.
+    fn copy<D: BlockDevice>(
+        &mut self,
+        wal: &Wal,
+        vol: &mut Volume<D>,
+        mut off: u64,
+        out: &mut [u8],
+        t: &mut Nanos,
+    ) {
+        let mut done = 0;
+        while done < out.len() {
+            let blk = off / BLOCK as u64;
+            if self.blk != Some(blk) {
+                let (file, in_file) = wal.locate(blk);
+                *t = wal.files[file].read_page(vol, in_file, &mut self.buf, *t).expect("log block");
+                self.blk = Some(blk);
+            }
+            let at = (off % BLOCK as u64) as usize;
+            let n = (BLOCK - at).min(out.len() - done);
+            out[done..done + n].copy_from_slice(&self.buf[at..at + n]);
+            done += n;
+            off += n as u64;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use storage::device::{DevResult, DeviceStats};
     use storage::testdev::MemDevice;
 
     fn setup(files: usize, blocks: u64) -> (Volume<MemDevice>, Wal) {
@@ -938,6 +966,85 @@ mod tests {
         assert_eq!(scan.tear, Some(Tear { lsn: lsns[2], kind: TearKind::TornFrame }));
         // Truncate-at-tear: the log resumes at the torn record's LSN.
         assert_eq!(wal2.next_lsn(), lsns[2]);
+    }
+
+    /// A [`MemDevice`] that records the first page of every read, in order.
+    struct ReadLog {
+        dev: MemDevice,
+        reads: Vec<u64>,
+    }
+
+    impl BlockDevice for ReadLog {
+        fn capacity_pages(&self) -> u64 {
+            self.dev.capacity_pages()
+        }
+        fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+            self.reads.push(lpn);
+            self.dev.read(lpn, pages, buf, now)
+        }
+        fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+            self.dev.write(lpn, data, now)
+        }
+        fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+            self.dev.flush(now)
+        }
+        fn power_cut(&mut self, now: Nanos) {
+            self.dev.power_cut(now)
+        }
+        fn reboot(&mut self, now: Nanos) -> Nanos {
+            self.dev.reboot(now)
+        }
+        fn is_powered(&self) -> bool {
+            self.dev.is_powered()
+        }
+        fn stats(&self) -> DeviceStats {
+            self.dev.stats()
+        }
+    }
+
+    /// The recovery scan of a fixed log — a checkpoint, records spanning
+    /// up to three blocks, and a torn final record — pinned to the values
+    /// the byte-at-a-time scan produced: the same records and tear, the
+    /// same device reads in the same order, the same completion time.
+    #[test]
+    fn torn_tail_scan_is_pinned() {
+        let mut vol = Volume::new(ReadLog { dev: MemDevice::new(4096), reads: Vec::new() }, true);
+        let mut vm = VolumeManager::new(4096);
+        let (mut wal, t) = Wal::create(&mut vol, &mut vm, 3, 16, 0);
+        let mut t = t;
+        for i in 0..4u8 {
+            let lsn = wal.append(&rec(&[i; 700]));
+            t = wal.commit(&mut vol, lsn, t);
+        }
+        let ckpt = wal.next_lsn();
+        t = wal.checkpoint(&mut vol, ckpt, t);
+        let mut last = 0;
+        for (i, n) in [100usize, 5000, 300, 9000, 50, 2000, 6000].into_iter().enumerate() {
+            last = wal.append(&rec(&vec![i as u8 + 10; n]));
+            t = wal.commit(&mut vol, last, t);
+        }
+        // Tear the final record: flip a byte of its payload on the device.
+        let victim = last + REC_HDR as u64 + 5000;
+        let (file, in_file) = wal.locate(victim / BLOCK as u64);
+        let mut buf = vec![0u8; BLOCK];
+        t = wal.files[file].read_page(&mut vol, in_file, &mut buf, t).unwrap();
+        buf[(victim % BLOCK as u64) as usize] ^= 0x01;
+        t = wal.files[file].write_page(&mut vol, in_file, &buf, t).unwrap();
+        let files = wal.files.clone();
+        drop(wal);
+        vol.device_mut().reads.clear();
+
+        let (wal2, scan, done) = Wal::recover(&mut vol, files, t);
+        let sizes: Vec<usize> = scan.records.iter().map(|r| value_of(r).len()).collect();
+        let lsns: Vec<Lsn> = scan.records.iter().map(|r| r.lsn).collect();
+        assert_eq!(ckpt, 2928);
+        assert_eq!(sizes, [100, 5000, 300, 9000, 50, 2000]);
+        assert_eq!(lsns, [2928, 3060, 8092, 8424, 17456, 17538]);
+        assert_eq!(scan.tear, Some(Tear { lsn: last, kind: TearKind::TornFrame }));
+        assert_eq!(wal2.next_lsn(), 19_570);
+        // Header, each stream block once in order, then the tail block.
+        assert_eq!(vol.device().reads, [0, 1, 2, 3, 4, 5, 6, 7, 5]);
+        assert_eq!((t, done), (1_590_000, 1_680_000));
     }
 
     /// CRC-valid bytes that are not a [`LogRecord`] are a distinct tear

@@ -61,6 +61,28 @@ pub enum LogRecord {
     PageImages { images: Vec<(u64, Vec<u8>)>, root_change: Option<(u32, u64, u8)> },
 }
 
+/// Frame a record body written by `body`: version, kind, body length and
+/// body CRC, then the body.
+fn frame(kind: u8, capacity: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    out.push(RECORD_VERSION);
+    out.push(kind);
+    out.extend_from_slice(&[0u8; 8]); // body_len + crc patched below
+    body(&mut out);
+    let body_len = (out.len() - FRAME) as u32;
+    let crc = crc32(&out[FRAME..]);
+    out[2..6].copy_from_slice(&body_len.to_le_bytes());
+    out[6..10].copy_from_slice(&crc.to_le_bytes());
+    out
+}
+
+fn put_doc_set(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
+}
+
 impl LogRecord {
     fn kind(&self) -> u8 {
         match self {
@@ -88,12 +110,7 @@ impl LogRecord {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
                 out.extend_from_slice(key);
             }
-            LogRecord::DocSet { key, value } => {
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(value);
-            }
+            LogRecord::DocSet { key, value } => put_doc_set(out, key, value),
             LogRecord::DocDelete { key } => {
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
                 out.extend_from_slice(key);
@@ -123,16 +140,15 @@ impl LogRecord {
 
     /// Serialise to the framed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(FRAME + 64);
-        out.push(RECORD_VERSION);
-        out.push(self.kind());
-        out.extend_from_slice(&[0u8; 8]); // body_len + crc patched below
-        self.encode_body(&mut out);
-        let body_len = (out.len() - FRAME) as u32;
-        let crc = crc32(&out[FRAME..]);
-        out[2..6].copy_from_slice(&body_len.to_le_bytes());
-        out[6..10].copy_from_slice(&crc.to_le_bytes());
-        out
+        frame(self.kind(), FRAME + 64, |out| self.encode_body(out))
+    }
+
+    /// The framed bytes of `DocSet { key, value }`, encoded straight from
+    /// the borrowed parts (no record has to own copies of them first).
+    /// Byte-identical to `LogRecord::DocSet { .. }.encode()`.
+    pub fn encode_doc_set(key: &[u8], value: &[u8]) -> Vec<u8> {
+        let cap = FRAME + 6 + key.len() + value.len();
+        frame(KIND_DOC_SET, cap, |out| put_doc_set(out, key, value))
     }
 
     /// Try to decode a record starting at `buf[0]`. Returns the record and
@@ -344,6 +360,14 @@ mod tests {
         let enc = rec.encode();
         for cut in [0, 1, 5, FRAME, FRAME + 3, enc.len() - 1] {
             assert!(LogRecord::decode(&enc[..cut]).is_none(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn borrowed_doc_set_encoding_matches_owned() {
+        for (k, v) in [(&b""[..], &b""[..]), (b"k", b"v"), (b"user42", &[9u8; 1000][..])] {
+            let owned = LogRecord::DocSet { key: k.to_vec(), value: v.to_vec() }.encode();
+            assert_eq!(LogRecord::encode_doc_set(k, v), owned);
         }
     }
 
