@@ -62,7 +62,7 @@ cargo run -p bench --release -q --bin perf -- \
     --fio-ops 2000 --ycsb-records 200 --ycsb-ops 400 --warehouses 1 --txns 20 \
     --out "$TRACE_TMP/perf.json" --check >"$TRACE_TMP/perf.out"
 test -s "$TRACE_TMP/perf.json"
-grep -q '"schema": *"durassd.perf.v1"' "$TRACE_TMP/perf.json"
+grep -q '"schema": *"durassd.perf.v2"' "$TRACE_TMP/perf.json"
 
 echo "== waf smoke (write-provenance conservation, schema-validated BENCH_waf.json) =="
 # --check fails on schema drift, any row whose per-cause counts do not sum

@@ -17,15 +17,23 @@
 //! 3. `tpcc_relstore` — a TPC-C slice on the relational engine (8 clients,
 //!    strict commits).
 //!
-//! Reported per scenario: wall-clock ops/sec (the headline), sim-time
-//! throughput (must stay constant across host-side refactors — it is the
-//! determinism canary), heap allocations from the counting global allocator
-//! and allocations/op. Process-wide peak RSS (`VmHWM`) is reported once.
+//! Each scenario runs [`REPS`] times, interleaved: one round
+//! runs every scenario once, from a fresh stack, before the next round
+//! starts, so a slow stretch of the host spreads over all scenarios
+//! instead of landing on one.
+//!
+//! Reported per scenario: the median wall-clock ops/sec (the headline) with
+//! the min and max over the repetitions, sim-time throughput (must stay
+//! constant across host-side refactors — it is the determinism canary),
+//! heap allocations from the counting global allocator and allocations/op.
+//! Process-wide peak RSS (`VmHWM`) is reported once.
 //!
 //! Flags: `--fio-ops N`, `--ycsb-records N`, `--ycsb-ops N`,
-//! `--warehouses N`, `--txns N`, `--out PATH` (default `BENCH_perf.json`),
-//! `--check` (validate the written JSON: parses, schema tag, no NaN, no
-//! zero throughput; exit non-zero on violation).
+//! `--warehouses N`, `--txns N`, `--out PATH` (default
+//! `BENCH_perf.json`), `--check` (exit non-zero when sim throughput or the
+//! allocation count differs between repetitions of a scenario, or the
+//! written JSON fails validation: parses, schema tag, no NaN, no zero
+//! throughput, min ≤ median ≤ max).
 //!
 //! Run: `cargo run -p bench --release --bin perf`
 
@@ -44,6 +52,10 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 /// JSON schema tag; bump on layout changes so downstream tooling can gate.
 const SCHEMA: &str = PERF_SCHEMA;
 
+/// Repetitions of every scenario; the median of five is the headline.
+const REPS: usize = 5;
+
+/// One measured run of one scenario.
 struct Scenario {
     name: &'static str,
     ops: u64,
@@ -52,12 +64,57 @@ struct Scenario {
     allocs: u64,
 }
 
-impl Scenario {
+/// Every repetition of one scenario, folded into the reported row.
+struct Summary {
+    name: &'static str,
+    ops: u64,
+    reps: usize,
+    /// Wall time of the median, fastest and slowest repetition.
+    wall_ns: u64,
+    wall_ns_min: u64,
+    wall_ns_max: u64,
+    /// Deterministic quantities, taken from the first repetition; `stable`
+    /// says whether every other repetition repeated them exactly.
+    sim_ns: u64,
+    allocs: u64,
+    stable: bool,
+}
+
+fn per_sec(ops: u64, ns: u64) -> f64 {
+    ops as f64 / (ns.max(1) as f64 / 1e9)
+}
+
+impl Summary {
+    fn of(runs: &[Scenario]) -> Self {
+        let first = &runs[0];
+        let mut wall: Vec<u64> = runs.iter().map(|r| r.wall_ns).collect();
+        wall.sort_unstable();
+        Summary {
+            name: first.name,
+            ops: first.ops,
+            reps: runs.len(),
+            wall_ns: wall[wall.len() / 2],
+            wall_ns_min: wall[0],
+            wall_ns_max: wall[wall.len() - 1],
+            sim_ns: first.sim_ns,
+            allocs: first.allocs,
+            stable: runs
+                .iter()
+                .all(|r| (r.ops, r.sim_ns, r.allocs) == (first.ops, first.sim_ns, first.allocs)),
+        }
+    }
+    /// Median wall-clock ops/sec; the slowest run gives the min.
     fn wall_ops_per_sec(&self) -> f64 {
-        self.ops as f64 / (self.wall_ns.max(1) as f64 / 1e9)
+        per_sec(self.ops, self.wall_ns)
+    }
+    fn wall_ops_per_sec_min(&self) -> f64 {
+        per_sec(self.ops, self.wall_ns_max)
+    }
+    fn wall_ops_per_sec_max(&self) -> f64 {
+        per_sec(self.ops, self.wall_ns_min)
     }
     fn sim_ops_per_sec(&self) -> f64 {
-        self.ops as f64 / (self.sim_ns.max(1) as f64 / 1e9)
+        per_sec(self.ops, self.sim_ns)
     }
     fn allocs_per_op(&self) -> f64 {
         self.allocs as f64 / self.ops.max(1) as f64
@@ -134,7 +191,7 @@ fn json_f64(v: f64) -> String {
     }
 }
 
-fn render_json(scenarios: &[Scenario], rss: u64) -> String {
+fn render_json(scenarios: &[Summary], rss: u64) -> String {
     let mut out = String::new();
     out.push_str(&format!("{{\"schema\":\"{SCHEMA}\","));
     out.push_str(&format!(
@@ -148,12 +205,16 @@ fn render_json(scenarios: &[Scenario], rss: u64) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"name\":\"{}\",\"ops\":{},\"wall_ns\":{},\"wall_ops_per_sec\":{},\
+            "{{\"name\":\"{}\",\"ops\":{},\"reps\":{},\"wall_ns\":{},\
+             \"wall_ops_per_sec\":{},\"wall_ops_per_sec_min\":{},\"wall_ops_per_sec_max\":{},\
              \"sim_ns\":{},\"sim_ops_per_sec\":{},\"allocs\":{},\"allocs_per_op\":{}}}",
             s.name,
             s.ops,
+            s.reps,
             s.wall_ns,
             json_f64(s.wall_ops_per_sec()),
+            json_f64(s.wall_ops_per_sec_min()),
+            json_f64(s.wall_ops_per_sec_max()),
             s.sim_ns,
             json_f64(s.sim_ops_per_sec()),
             s.allocs,
@@ -175,27 +236,35 @@ fn main() {
 
     println!(
         "perf: wall-clock harness ({} build) — fio {fio_ops} ops, \
-         YCSB-A {ycsb_records} recs/{ycsb_ops} ops, TPC-C {warehouses} wh/{txns} txns",
+         YCSB-A {ycsb_records} recs/{ycsb_ops} ops, TPC-C {warehouses} wh/{txns} txns, \
+         {REPS} interleaved reps",
         if cfg!(debug_assertions) { "debug" } else { "release" }
     );
     println!();
     println!(
-        "{:<18} {:>10} {:>12} {:>12} {:>12} {:>10}",
-        "scenario", "ops", "wall ops/s", "sim ops/s", "allocs", "allocs/op"
+        "{:<18} {:>8} {:>12} {:>21} {:>12} {:>10} {:>10}",
+        "scenario", "ops", "wall ops/s", "(min..max)", "sim ops/s", "allocs", "allocs/op"
     );
-    rule(80);
+    rule(97);
 
-    let scenarios = vec![
-        fio_scenario(fio_ops),
-        ycsb_scenario(ycsb_records, ycsb_ops),
-        tpcc_scenario(warehouses, txns),
-    ];
+    let mut runs: [Vec<Scenario>; 3] = Default::default();
+    for _ in 0..REPS {
+        runs[0].push(fio_scenario(fio_ops));
+        runs[1].push(ycsb_scenario(ycsb_records, ycsb_ops));
+        runs[2].push(tpcc_scenario(warehouses, txns));
+    }
+    let scenarios: Vec<Summary> = runs.iter().map(|r| Summary::of(r)).collect();
     for s in &scenarios {
         println!(
-            "{:<18} {:>10} {:>12} {:>12} {:>12} {:>10.2}",
+            "{:<18} {:>8} {:>12} {:>21} {:>12} {:>10} {:>10.2}",
             s.name,
             s.ops,
             fmt_rate(s.wall_ops_per_sec()),
+            format!(
+                "({}..{})",
+                fmt_rate(s.wall_ops_per_sec_min()),
+                fmt_rate(s.wall_ops_per_sec_max())
+            ),
             fmt_rate(s.sim_ops_per_sec()),
             s.allocs,
             s.allocs_per_op(),
@@ -210,9 +279,18 @@ fn main() {
     println!("wrote {out}");
 
     if check {
-        let failures = check_perf_report(&doc);
+        let mut failures = check_perf_report(&doc);
+        for s in scenarios.iter().filter(|s| !s.stable) {
+            failures.push(format!(
+                "{}: sim ops/s or allocs differ between repetitions (determinism lost)",
+                s.name
+            ));
+        }
         if failures.is_empty() {
-            println!("check : OK (schema, finite positive throughputs)");
+            println!(
+                "check : OK (schema, finite positive throughputs, min <= median <= max, \
+                 sim ops/s and allocs identical across {REPS} reps)"
+            );
         } else {
             for f in &failures {
                 eprintln!("check FAILED: {f}");

@@ -15,8 +15,10 @@ use std::collections::BTreeMap;
 use storage::device::WriteCause;
 use telemetry::JsonValue;
 
-/// Schema tag for `BENCH_perf.json` (the `perf` bin).
-pub const PERF_SCHEMA: &str = "durassd.perf.v1";
+/// Schema tag for `BENCH_perf.json` (the `perf` bin). v2 added `reps` and
+/// the wall ops/s spread (`wall_ops_per_sec_min`/`_max`); `wall_ns` and
+/// `wall_ops_per_sec` hold the median repetition.
+pub const PERF_SCHEMA: &str = "durassd.perf.v2";
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
@@ -52,8 +54,9 @@ fn num(row: &Obj, key: &str) -> Option<f64> {
 }
 
 /// Validate a serialized `BENCH_perf.json` document: parses, carries the
-/// [`PERF_SCHEMA`] tag, and every scenario has positive finite wall and sim
-/// throughput.
+/// [`PERF_SCHEMA`] tag, every scenario has positive finite wall and sim
+/// throughput, and its median wall throughput lies within the recorded
+/// spread (`wall_ops_per_sec_min <= wall_ops_per_sec <= wall_ops_per_sec_max`).
 pub fn check_perf_report(doc: &str) -> Vec<String> {
     let v = match top_object(doc, "BENCH_perf.json") {
         Ok(v) => v,
@@ -72,7 +75,12 @@ pub fn check_perf_report(doc: &str) -> Vec<String> {
                     continue;
                 };
                 let name = s.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                for key in ["wall_ops_per_sec", "sim_ops_per_sec"] {
+                for key in [
+                    "wall_ops_per_sec",
+                    "wall_ops_per_sec_min",
+                    "wall_ops_per_sec_max",
+                    "sim_ops_per_sec",
+                ] {
                     match num(s, key) {
                         Some(x) if x.is_finite() && x > 0.0 => {}
                         other => {
@@ -80,7 +88,18 @@ pub fn check_perf_report(doc: &str) -> Vec<String> {
                         }
                     }
                 }
-                for key in ["ops", "wall_ns", "sim_ns"] {
+                if let (Some(lo), Some(mid), Some(hi)) = (
+                    num(s, "wall_ops_per_sec_min"),
+                    num(s, "wall_ops_per_sec"),
+                    num(s, "wall_ops_per_sec_max"),
+                ) {
+                    if !(lo <= mid && mid <= hi) {
+                        failures.push(format!(
+                            "{name}: wall ops/s min {lo} <= median {mid} <= max {hi} violated"
+                        ));
+                    }
+                }
+                for key in ["ops", "reps", "wall_ns", "sim_ns"] {
                     match num(s, key) {
                         Some(x) if x > 0.0 => {}
                         other => failures.push(format!("{name}.{key} = {other:?}: want positive")),
@@ -827,12 +846,19 @@ mod tests {
     fn perf_report_validation() {
         let good = format!(
             "{{\"schema\":\"{PERF_SCHEMA}\",\"peak_rss_bytes\":1,\"scenarios\":[\
-             {{\"name\":\"fio\",\"ops\":10,\"wall_ns\":20,\"wall_ops_per_sec\":5.0,\
+             {{\"name\":\"fio\",\"ops\":10,\"reps\":5,\"wall_ns\":20,\"wall_ops_per_sec\":5.0,\
+             \"wall_ops_per_sec_min\":4.0,\"wall_ops_per_sec_max\":6.0,\
              \"sim_ns\":30,\"sim_ops_per_sec\":7.0,\"allocs\":0,\"allocs_per_op\":0}}]}}"
         );
         assert!(check_perf_report(&good).is_empty(), "{:?}", check_perf_report(&good));
         let zero = good.replace("\"wall_ops_per_sec\":5.0", "\"wall_ops_per_sec\":0");
         assert!(check_perf_report(&zero).iter().any(|f| f.contains("wall_ops_per_sec")));
+        // The median must lie within the recorded spread.
+        let outside = good.replace("\"wall_ops_per_sec_max\":6.0", "\"wall_ops_per_sec_max\":4.5");
+        assert!(check_perf_report(&outside).iter().any(|f| f.contains("min")));
+        // A single-shot report without the spread is rejected.
+        let single = good.replace("\"wall_ops_per_sec_min\":4.0,", "");
+        assert!(check_perf_report(&single).iter().any(|f| f.contains("wall_ops_per_sec_min")));
         assert!(!check_perf_report("{}").is_empty());
     }
 }

@@ -21,7 +21,8 @@ use simkit::Nanos;
 /// Page-access interface the tree runs on. Implementations charge virtual
 /// time for faults and evictions.
 pub trait PageStore {
-    /// Page size in bytes; constant for the life of the store.
+    /// Page size in bytes; constant for the life of the store and at most
+    /// [`node::MAX_PAGE`].
     fn page_size(&self) -> usize;
     /// Allocate a fresh page number (no I/O yet).
     fn allocate(&mut self) -> u64;
@@ -71,7 +72,11 @@ struct Split {
 
 impl BTree {
     /// Create a new empty tree in `store`.
+    ///
+    /// # Panics
+    /// If the store's pages are larger than [`node::MAX_PAGE`].
     pub fn create<S: PageStore>(store: &mut S, now: Nanos) -> (Self, Nanos) {
+        assert_page_size(store.page_size());
         let root = store.allocate();
         let (_, t) = store.with_new_page(root, now, |buf| node::init(buf, Kind::Leaf, 0));
         (Self { root, height: 0, stats: TreeStats::default() }, t)
@@ -198,24 +203,12 @@ impl BTree {
             NeedSplit(Vec<(Vec<u8>, Vec<u8>)>, u64), // all cells + old right sib
         }
         let (outcome, t) = store.with_page_mut(page, now, |buf| {
-            match node::search(buf, key) {
+            let inserted = match node::search(buf, key) {
                 Ok(i) => {
                     // Overwrite: remove the old cell, compact, reinsert.
                     node::remove_slot(buf, i);
-                    let cells = match node::extract(buf) {
-                        Cells::Leaf(c) => c,
-                        _ => unreachable!(),
-                    };
-                    node::rebuild_leaf(buf, &cells);
-                    if node::fits(buf, key.len(), value.len()) {
-                        let pos = node::search(buf, key).unwrap_err();
-                        node::insert_leaf(buf, pos, key, value);
-                        return Outcome::Done(false);
-                    }
-                    let mut cells = cells;
-                    let pos = cells.partition_point(|(k, _)| k.as_slice() < key);
-                    cells.insert(pos, (key.to_vec(), value.to_vec()));
-                    Outcome::NeedSplit(cells, node::right_sibling(buf))
+                    node::compact_leaf(buf);
+                    false
                 }
                 Err(pos) => {
                     if node::fits(buf, key.len(), value.len()) {
@@ -224,21 +217,22 @@ impl BTree {
                     }
                     // Try compaction before splitting (heap may be leaky
                     // after deletes/overwrites).
-                    let cells = match node::extract(buf) {
-                        Cells::Leaf(c) => c,
-                        _ => unreachable!(),
-                    };
-                    node::rebuild_leaf(buf, &cells);
-                    if node::fits(buf, key.len(), value.len()) {
-                        let pos = node::search(buf, key).unwrap_err();
-                        node::insert_leaf(buf, pos, key, value);
-                        return Outcome::Done(true);
-                    }
-                    let mut cells = cells;
-                    cells.insert(pos, (key.to_vec(), value.to_vec()));
-                    Outcome::NeedSplit(cells, node::right_sibling(buf))
+                    node::compact_leaf(buf);
+                    true
                 }
+            };
+            if node::fits(buf, key.len(), value.len()) {
+                let pos = node::search(buf, key).unwrap_err();
+                node::insert_leaf(buf, pos, key, value);
+                return Outcome::Done(inserted);
             }
+            let mut cells = match node::extract(buf) {
+                Cells::Leaf(c) => c,
+                _ => unreachable!(),
+            };
+            let pos = cells.partition_point(|(k, _)| k.as_slice() < key);
+            cells.insert(pos, (key.to_vec(), value.to_vec()));
+            Outcome::NeedSplit(cells, node::right_sibling(buf))
         });
         match outcome {
             Outcome::Done(inserted) => ((inserted, None), t),
@@ -465,6 +459,14 @@ impl BTree {
     }
 }
 
+fn assert_page_size(page_size: usize) {
+    assert!(
+        page_size <= node::MAX_PAGE,
+        "B+-tree pages are at most {} bytes, got {page_size}",
+        node::MAX_PAGE
+    );
+}
+
 /// A trivial in-memory page store for unit tests (near-zero-latency pages).
 pub struct MemStore {
     pages: Vec<Vec<u8>>,
@@ -473,7 +475,11 @@ pub struct MemStore {
 
 impl MemStore {
     /// New store of `page_size`-byte pages.
+    ///
+    /// # Panics
+    /// If `page_size` exceeds [`node::MAX_PAGE`].
     pub fn new(page_size: usize) -> Self {
+        assert_page_size(page_size);
         Self { pages: Vec::new(), page_size }
     }
 }
@@ -647,6 +653,12 @@ mod tests {
         let mut s = MemStore::new(4096);
         let (mut t, _) = BTree::create(&mut s, 0);
         t.put(&mut s, b"k", &vec![0u8; 4000], 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "B+-tree pages are at most 16384 bytes")]
+    fn page_larger_than_max_rejected_up_front() {
+        let _ = MemStore::new(2 * node::MAX_PAGE);
     }
 
     #[test]

@@ -270,6 +270,30 @@ pub fn rebuild_leaf(buf: &mut [u8], cells: &[(Vec<u8>, Vec<u8>)]) {
     }
 }
 
+/// Largest page a tree may use (16 KiB, the largest size the paper runs);
+/// sizes the stack staging copy of [`compact_leaf`]. `BTree::create` and
+/// `MemStore::new` reject larger pages.
+pub const MAX_PAGE: usize = 16 * 1024;
+
+/// Compact a leaf in place: drop the heap space leaked by removed slots.
+/// Writes exactly the bytes `rebuild_leaf(buf, &extract(buf))` writes
+/// (header, slot array, cells packed from the end; the free gap keeps its
+/// old bytes), but stages the page through a stack copy instead of owned
+/// cells, so it never allocates.
+pub fn compact_leaf(buf: &mut [u8]) {
+    debug_assert_eq!(kind(buf), Kind::Leaf);
+    assert!(buf.len() <= MAX_PAGE, "page of {} bytes exceeds node::MAX_PAGE", buf.len());
+    let mut stage = [0u8; MAX_PAGE];
+    let old = &mut stage[..buf.len()];
+    old.copy_from_slice(buf);
+    let right = right_sibling(old);
+    init(buf, Kind::Leaf, 0);
+    set_right_sibling(buf, right);
+    for i in 0..nkeys(old) {
+        insert_leaf(buf, i, key(old, i), value(old, i));
+    }
+}
+
 /// Rebuild an internal node from owned cells, preserving level and the
 /// leftmost child.
 pub fn rebuild_internal(buf: &mut [u8], level_v: u8, leftmost: u64, cells: &[(Vec<u8>, u64)]) {
@@ -447,6 +471,45 @@ mod tests {
                 assert_eq!(&extracted, &entries);
                 rebuild_leaf(&mut p, &extracted);
                 assert_eq!(nkeys(&p), entries.len());
+            }
+        }
+
+        /// `compact_leaf` writes every byte `rebuild_leaf(extract)` writes,
+        /// and no other: the whole page stays byte-identical, free-gap
+        /// garbage included, across page sizes and leaked heap space.
+        #[test]
+        fn compact_leaf_matches_rebuild_from_extract() {
+            let mut r = rng(0xC0AC7);
+            for case in 0..192 {
+                let page_size = [4096usize, 8192, 16384][case % 3];
+                let mut p: Vec<u8> = (0..page_size).map(|_| r.gen::<u8>()).collect();
+                init(&mut p, Kind::Leaf, 0);
+                set_right_sibling(&mut p, r.gen::<u64>());
+                let mut keys: BTreeSet<Vec<u8>> = BTreeSet::new();
+                for _ in 0..r.gen_range(1..120usize) {
+                    keys.insert(random_bytes(&mut r, 1, 24));
+                }
+                for k in &keys {
+                    let v = random_bytes(&mut r, 0, 96);
+                    if !fits(&p, k.len(), v.len()) {
+                        break;
+                    }
+                    let n = nkeys(&p);
+                    insert_leaf(&mut p, n, k, &v);
+                }
+                // Leak heap space: remove a random subset of slots.
+                for _ in 0..r.gen_range(0..=nkeys(&p)) {
+                    let i = r.gen_range(0..nkeys(&p));
+                    remove_slot(&mut p, i);
+                }
+                let mut expected = p.clone();
+                let cells = match extract(&expected) {
+                    Cells::Leaf(c) => c,
+                    _ => unreachable!(),
+                };
+                rebuild_leaf(&mut expected, &cells);
+                compact_leaf(&mut p);
+                assert!(p == expected, "case {case}: page {page_size} differs");
             }
         }
 

@@ -15,8 +15,7 @@
 //! The `buffer_flush_neighbors` behaviour of InnoDB is intentionally absent:
 //! the paper's experiments run with it off.
 
-use simkit::Nanos;
-use std::collections::HashMap;
+use simkit::{DetHashMap, Nanos};
 use telemetry::{Stall, Telemetry};
 
 /// Storage interface the pool evicts to and faults from.
@@ -72,7 +71,7 @@ struct Frame {
 /// A fixed-capacity LRU buffer pool of `page_size`-byte frames.
 pub struct BufferPool {
     frames: Vec<Frame>,
-    map: HashMap<u64, usize>,
+    map: DetHashMap<u64, usize>,
     free: Vec<usize>,
     head: usize, // MRU
     tail: usize, // LRU
@@ -105,7 +104,7 @@ impl BufferPool {
             .collect();
         Self {
             frames,
-            map: HashMap::with_capacity(capacity),
+            map: DetHashMap::with_capacity_and_hasher(capacity, Default::default()),
             free: (0..capacity).rev().collect(),
             head: NIL,
             tail: NIL,
@@ -408,6 +407,7 @@ impl BufferPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
 
     /// Backend with fixed latencies that records I/O.
     struct TestBackend {

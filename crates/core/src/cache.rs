@@ -33,6 +33,7 @@
 //! the scan-based implementation returned, so virtual-time results are
 //! byte-identical.
 
+use simkit::DetHashMap;
 use simkit::{Nanos, PageBuf};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -69,7 +70,7 @@ pub struct CacheEntry {
 /// The write cache.
 #[derive(Debug, Default)]
 pub struct WriteCache {
-    entries: HashMap<u64, CacheEntry>,
+    entries: DetHashMap<u64, CacheEntry>,
     /// FIFO of `(lpn, generation)` awaiting drain. May contain stale
     /// references; `pop_dirty` skips them by generation mismatch.
     fifo: VecDeque<(u64, u64)>,

@@ -21,8 +21,7 @@ pub mod cowtree;
 use append::{AppendSpace, BLOCK};
 use cowtree::{decode_node, encode_node, route, split_entries, Entry, KIND_INTERNAL, KIND_LEAF};
 use forensics::{Ledger, UnitKind};
-use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
-use std::collections::HashMap;
+use simkit::{crc32, DetHashMap, Nanos, Recovered, ReplayStats, Timed};
 use std::rc::Rc;
 use storage::device::BlockDevice;
 use storage::file::PageFile;
@@ -128,10 +127,10 @@ pub struct DocStore<D: BlockDevice> {
     cfg: DocStoreConfig,
     /// Memory-first object cache (Couchbase's managed-cache layer). Keys
     /// share their bytes with the tree entries.
-    doc_cache: HashMap<Rc<[u8]>, Option<Vec<u8>>>,
+    doc_cache: DetHashMap<Rc<[u8]>, Option<Vec<u8>>>,
     /// Node cache (OS page cache stand-in) over the live tree only: a
     /// path node superseded by a copy-on-write update is dropped.
-    node_cache: HashMap<u64, Node>,
+    node_cache: DetHashMap<u64, Node>,
     updates_since_sync: u32,
     stats: DocStats,
     /// Optional telemetry sink; see [`DocStore::attach_telemetry`].
@@ -172,8 +171,8 @@ impl<D: BlockDevice> DocStore<D> {
             ckpt_off: NO_OFF,
             headers_since_ckpt: 0,
             cfg,
-            doc_cache: HashMap::new(),
-            node_cache: HashMap::new(),
+            doc_cache: DetHashMap::default(),
+            node_cache: DetHashMap::default(),
             updates_since_sync: 0,
             stats: DocStats::default(),
             tel: None,
@@ -774,8 +773,8 @@ impl<D: BlockDevice> DocStore<D> {
             ckpt_off,
             headers_since_ckpt: 0,
             cfg,
-            doc_cache: HashMap::new(),
-            node_cache: HashMap::new(),
+            doc_cache: DetHashMap::default(),
+            node_cache: DetHashMap::default(),
             updates_since_sync: 0,
             stats: DocStats::default(),
             tel: None,
@@ -790,6 +789,7 @@ impl<D: BlockDevice> DocStore<D> {
 mod tests {
     use super::*;
     use durassd::{Ssd, SsdConfig};
+    use std::collections::HashMap;
     use storage::testdev::MemDevice;
 
     fn store(batch: u32) -> DocStore<MemDevice> {

@@ -1,8 +1,7 @@
 //! The NAND array: state, timing and failure model.
 
 use crate::geometry::{Geometry, Ppn};
-use simkit::{BufPool, Nanos, PageBuf, Timeline};
-use std::collections::HashMap;
+use simkit::{BufPool, DetHashMap, Nanos, PageBuf, Timeline};
 use telemetry::Telemetry;
 
 /// Errors raised by raw NAND operations.
@@ -102,9 +101,15 @@ struct EraseInFlight {
 pub struct NandArray {
     geo: Geometry,
     blocks: Vec<BlockState>,
-    pages: HashMap<Ppn, PageState>,
+    pages: DetHashMap<Ppn, PageState>,
     channel_bus: Vec<Timeline>,
     planes: Vec<Timeline>,
+    /// Highest arrival watermark passed to [`NandArray::purge_before`]. A
+    /// plane drops its intervals ending at or before it when next acquired
+    /// ([`NandArray::plane`]) instead of at every purge: a host command
+    /// touches one or two of the planes, and arrivals never precede the
+    /// watermark, so a stale interval can never move where work is placed.
+    plane_watermark: Nanos,
     stats: NandStats,
     /// Programs/erases whose completion may still be in the future; purged
     /// lazily. Used to shear pages on power cuts.
@@ -135,9 +140,10 @@ impl NandArray {
     pub fn new(geo: Geometry) -> Self {
         Self {
             blocks: vec![BlockState::default(); geo.blocks()],
-            pages: HashMap::new(),
+            pages: DetHashMap::default(),
             channel_bus: vec![Timeline::new(); geo.channels],
             planes: vec![Timeline::new(); geo.planes()],
+            plane_watermark: 0,
             geo,
             stats: NandStats::default(),
             inflight_programs: Vec::new(),
@@ -262,6 +268,13 @@ impl NandArray {
         self.pages.get(&ppn).is_some_and(|p| !p.shorn)
     }
 
+    /// Plane `plane`'s timeline, first purged up to the watermark.
+    fn plane(&mut self, plane: usize) -> &mut Timeline {
+        let tl = &mut self.planes[plane];
+        tl.purge_before(self.plane_watermark);
+        tl
+    }
+
     fn purge_inflight(&mut self, now: Nanos) {
         self.inflight_programs.retain(|&(_, done)| done > now);
         // Manual sweep instead of `retain`: retired records hand their
@@ -291,7 +304,8 @@ impl NandArray {
         let (block, _) = self.geo.split_ppn(ppn);
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
-        let cell_done = self.planes[plane].acquire(now, self.geo.t_read);
+        let t_read = self.geo.t_read;
+        let cell_done = self.plane(plane).acquire(now, t_read);
         let done = self.channel_bus[channel].acquire(cell_done, self.geo.bus_time(buf.len()));
         self.last_service = self.geo.t_read + self.geo.bus_time(buf.len());
         self.last_wait = (done - now).saturating_sub(self.last_service);
@@ -334,7 +348,8 @@ impl NandArray {
         let plane = self.geo.plane_of_block(block);
         let channel = self.geo.channel_of_block(block);
         let xfer_done = self.channel_bus[channel].acquire(now, self.geo.bus_time(data.len()));
-        let done = self.planes[plane].acquire(xfer_done, self.geo.t_program);
+        let t_program = self.geo.t_program;
+        let done = self.plane(plane).acquire(xfer_done, t_program);
         self.last_service = self.geo.bus_time(data.len()) + self.geo.t_program;
         self.last_wait = (done - now).saturating_sub(self.last_service);
         // Reuse the target page's old buffer when overwriting after a shear
@@ -367,7 +382,8 @@ impl NandArray {
         }
         self.purge_inflight(now);
         let plane = self.geo.plane_of_block(block);
-        let done = self.planes[plane].acquire(now, self.geo.t_erase);
+        let t_erase = self.geo.t_erase;
+        let done = self.plane(plane).acquire(now, t_erase);
         let st = &mut self.blocks[block as usize];
         let saved_next = st.next_page;
         st.next_page = 0;
@@ -443,16 +459,39 @@ impl NandArray {
         for t in &mut self.planes {
             t.reset();
         }
+        self.plane_watermark = 0;
+    }
+
+    /// A plane's last busy instant as a purge up to the watermark would
+    /// leave it: 0 (idle) once all its work ends at or before the watermark.
+    fn live_busy_until(&self, tl: &Timeline) -> Nanos {
+        let b = tl.busy_until();
+        if b <= self.plane_watermark {
+            0
+        } else {
+            b
+        }
     }
 
     /// When a given plane becomes free (for backend idle checks).
     pub fn plane_busy_until(&self, plane: usize) -> Nanos {
-        self.planes[plane].busy_until()
+        self.live_busy_until(&self.planes[plane])
     }
 
     /// Inform the array that no future operation will be scheduled before
-    /// `t` (host arrival watermark): old busy intervals can be dropped.
+    /// `t` (host arrival watermark): old busy intervals can be dropped. The
+    /// few channel buses are purged now; each plane purges when it is next
+    /// acquired (see [`NandArray::plane`]).
     pub fn purge_before(&mut self, t: Nanos) {
+        self.plane_watermark = self.plane_watermark.max(t);
+        for c in &mut self.channel_bus {
+            c.purge_before(t);
+        }
+    }
+
+    /// Reference for [`NandArray::purge_before`]: sweep every timeline now.
+    #[cfg(test)]
+    fn purge_before_eager(&mut self, t: Nanos) {
         for p in &mut self.planes {
             p.purge_before(t);
         }
@@ -463,7 +502,7 @@ impl NandArray {
 
     /// Virtual time at which every queued plane/bus operation has drained.
     pub fn all_quiet(&self) -> Nanos {
-        let p = self.planes.iter().map(Timeline::busy_until).max().unwrap_or(0);
+        let p = self.planes.iter().map(|tl| self.live_busy_until(tl)).max().unwrap_or(0);
         let c = self.channel_bus.iter().map(Timeline::busy_until).max().unwrap_or(0);
         p.max(c)
     }
@@ -648,6 +687,81 @@ mod tests {
     mod proptests {
         use super::*;
         use simkit::dist::{rng, Rng};
+
+        /// The lazy plane purge is observably identical to sweeping every
+        /// timeline at each `purge_before`: same completion times, same
+        /// idle/busy answers, same channel backlogs, after every step of a
+        /// seeded mix of reads, programs, erases and purges whose arrivals
+        /// never precede the watermark.
+        #[test]
+        fn lazy_plane_purge_matches_eager_sweep() {
+            let mut r = rng(0x1A2B);
+            for _ in 0..64 {
+                let mut lazy = NandArray::new(Geometry::tiny());
+                let mut eager = NandArray::new(Geometry::tiny());
+                let g = *lazy.geometry();
+                let mut cursor = vec![0u32; g.blocks()];
+                let mut watermark = 0u64;
+                let mut buf = vec![0u8; g.page_size];
+                for step in 0..400 {
+                    // Arrivals scatter ahead of the watermark, out of order,
+                    // like interleaved closed-loop clients.
+                    let now = watermark + r.gen_range(0..8_000_000u64);
+                    let block = r.gen_range(0..g.blocks() as u32);
+                    let (a, b) = match r.gen_range(0..10u32) {
+                        0..=3 => {
+                            let page = r.gen_range(0..g.pages_per_block as u32);
+                            let ppn = g.make_ppn(block, page);
+                            (
+                                lazy.read(ppn, &mut buf, now).map_err(|e| e.to_string()),
+                                eager.read(ppn, &mut buf, now).map_err(|e| e.to_string()),
+                            )
+                        }
+                        4..=7 if (cursor[block as usize] as usize) < g.pages_per_block => {
+                            let ppn = g.make_ppn(block, cursor[block as usize]);
+                            cursor[block as usize] += 1;
+                            let data = vec![step as u8; g.page_size];
+                            (
+                                lazy.program(ppn, &data, now).map_err(|e| e.to_string()),
+                                eager.program(ppn, &data, now).map_err(|e| e.to_string()),
+                            )
+                        }
+                        4..=8 => {
+                            cursor[block as usize] = 0;
+                            (
+                                lazy.erase(block, now).map_err(|e| e.to_string()),
+                                eager.erase(block, now).map_err(|e| e.to_string()),
+                            )
+                        }
+                        _ => {
+                            watermark += r.gen_range(0..6_000_000u64);
+                            lazy.purge_before(watermark);
+                            eager.purge_before_eager(watermark);
+                            (Ok(0), Ok(0))
+                        }
+                    };
+                    assert_eq!(a, b, "step {step}: completion");
+                    assert_eq!(lazy.last_split(), eager.last_split(), "step {step}: split");
+                    assert_eq!(lazy.all_quiet(), eager.all_quiet(), "step {step}: all_quiet");
+                    for p in 0..g.planes() {
+                        assert_eq!(
+                            lazy.plane_busy_until(p),
+                            eager.plane_busy_until(p),
+                            "step {step}: plane {p}"
+                        );
+                    }
+                    for c in 0..lazy.channel_count() {
+                        for t in [watermark, now] {
+                            assert_eq!(
+                                lazy.channel_backlog_at(c, t),
+                                eager.channel_backlog_at(c, t),
+                                "step {step}: channel {c} at {t}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
 
         /// Model-based test: arbitrary interleavings of program/erase across
         /// blocks behave like a per-block append-log with erase reset.

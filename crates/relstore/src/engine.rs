@@ -39,8 +39,7 @@ use btree::{node as bnode, BTree, PageStore};
 use bufferpool::{BufferPool, PageBackend, PoolStats};
 use durassd::Error;
 use forensics::{EvidenceKind, Ledger, UnitKind};
-use simkit::{crc32, Nanos, Recovered, ReplayStats, Timed};
-use std::collections::HashMap;
+use simkit::{crc32, DetHashMap, DetHashSet, Nanos, Recovered, ReplayStats, Timed};
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
@@ -92,7 +91,7 @@ struct Backend<'a, D: BlockDevice, L: BlockDevice> {
     dwb: PageFile,
     double_write: bool,
     dwb_cursor: &'a mut u64,
-    dirty_lsn: &'a mut HashMap<u64, Lsn>,
+    dirty_lsn: &'a mut DetHashMap<u64, Lsn>,
     scratch: &'a mut Vec<u8>,
     stats: &'a mut EngineStats,
 }
@@ -174,28 +173,13 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
         }
         self.stats.page_writes += pages.len() as u64;
         if self.double_write {
-            // Contiguous run of DWB slots, one device command, one fsync.
-            let ps = self.dwb.page_size();
-            if (*self.dwb_cursor % self.dwb.pages()) + pages.len() as u64 > self.dwb.pages() {
-                *self.dwb_cursor = 0; // wrap to keep the run contiguous
+            // A batch larger than the area goes out as area-sized runs, each
+            // sealed before the next may overwrite its copies.
+            for run in pages.chunks(self.dwb.pages() as usize) {
+                t = self.double_write_run(run, t);
+                t = self.vol.fsync(t).expect("data volume");
             }
-            let first_slot = *self.dwb_cursor % self.dwb.pages();
-            let mut run = vec![0u8; pages.len() * ps];
-            for (i, (page_no, data)) in pages.iter().enumerate() {
-                let dst = &mut run[i * ps..(i + 1) * ps];
-                dst[..data.len()].copy_from_slice(data);
-                stamp_trailer(dst, *page_no);
-            }
-            *self.dwb_cursor += pages.len() as u64;
-            // DWB copies are redundant page images by definition — tag them
-            // so the device's WAF report can attribute them separately from
-            // the home-location page writes.
-            self.vol.push_cause(WriteCause::PageImage);
-            t = self.dwb.write_pages(self.vol, first_slot, &run, t).expect("dwb run");
-            // The copies must be durable before any home write starts.
-            t = self.vol.fsync(t).expect("data volume");
-            self.vol.pop_cause();
-            self.stats.dwb_writes += pages.len() as u64;
+            return t;
         }
         for (page_no, data) in pages {
             self.scratch.clear();
@@ -207,9 +191,57 @@ impl<D: BlockDevice, L: BlockDevice> PageBackend for Backend<'_, D, L> {
         // MySQL-like engine; for the O_DSYNC engine the write call itself
         // carries the barrier request — either way it is per batch, which is
         // also one write call.
+        self.vol.fsync(t).expect("data volume")
+    }
+}
+
+impl<D: BlockDevice, L: BlockDevice> Backend<'_, D, L> {
+    /// Stamp each page once into a contiguous run of double-write slots,
+    /// write the run as one device command and fsync it, then write every
+    /// page home from the same stamped bytes: the two copies are identical
+    /// by construction. The caller fsyncs the home writes.
+    fn double_write_run(&mut self, pages: &[(u64, &[u8])], mut t: Nanos) -> Nanos {
+        let ps = self.dwb.page_size();
+        if (*self.dwb_cursor % self.dwb.pages()) + pages.len() as u64 > self.dwb.pages() {
+            *self.dwb_cursor = 0; // wrap to keep the run contiguous
+        }
+        let first_slot = *self.dwb_cursor % self.dwb.pages();
+        self.scratch.clear();
+        for (page_no, data) in pages {
+            let at = self.scratch.len();
+            self.scratch.extend_from_slice(data);
+            stamp_trailer(&mut self.scratch[at..at + ps], *page_no);
+        }
+        *self.dwb_cursor += pages.len() as u64;
+        // DWB copies are redundant page images by definition — tag them so
+        // the device's WAF report can attribute them separately from the
+        // home-location page writes.
+        self.vol.push_cause(WriteCause::PageImage);
+        t = self.dwb.write_pages(self.vol, first_slot, self.scratch, t).expect("dwb run");
+        // The copies must be durable before any home write starts.
         t = self.vol.fsync(t).expect("data volume");
+        self.vol.pop_cause();
+        self.stats.dwb_writes += pages.len() as u64;
+        for (stamped, (page_no, _)) in self.scratch.chunks_exact(ps).zip(pages) {
+            t = self.ts.write_page(self.vol, *page_no, stamped, t).expect("home page");
+        }
         t
     }
+}
+
+/// The pages one engine operation touched. The engine owns one set and
+/// clears it per operation, so recording them never allocates once the
+/// vectors have grown to the largest operation's size.
+#[derive(Default)]
+struct OpPages {
+    /// Pool frames kept pinned until the operation's redo record is on the
+    /// log.
+    retained: Vec<usize>,
+    /// Pages mutated or created; after [`View::summarize`], every touched
+    /// page (allocated ones included), sorted and deduplicated.
+    touched: Vec<u64>,
+    /// Pages newly allocated (the operation restructured the tree).
+    allocated: Vec<u64>,
 }
 
 /// Page-store view handed to the B+-tree for one engine operation. Records
@@ -221,9 +253,7 @@ struct View<'a, D: BlockDevice, L: BlockDevice> {
     logical_ps: usize,
     next_page: &'a mut u64,
     data_pages: u64,
-    retained: Vec<usize>,
-    mut_pages: Vec<u64>,
-    allocated: Vec<u64>,
+    pages: &'a mut OpPages,
     /// Capture images of every mutated page (full-page-writes mode).
     image_all: bool,
 }
@@ -237,7 +267,7 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         let p = *self.next_page;
         assert!(p < self.data_pages, "tablespace full ({p} pages)");
         *self.next_page += 1;
-        self.allocated.push(p);
+        self.pages.allocated.push(p);
         p
     }
 
@@ -257,8 +287,8 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
         let (idx, t) = self.pool.get(page_no, &mut self.be, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
         // Keep the pin until the redo record is on the log (View summary).
-        self.retained.push(idx);
-        self.mut_pages.push(page_no);
+        self.pages.retained.push(idx);
+        self.pages.touched.push(page_no);
         (r, t)
     }
 
@@ -270,33 +300,33 @@ impl<D: BlockDevice, L: BlockDevice> PageStore for View<'_, D, L> {
     ) -> (R, Nanos) {
         let (idx, t) = self.pool.create(page_no, &mut self.be, now);
         let r = f(&mut self.pool.data_mut(idx)[..self.logical_ps]);
-        self.retained.push(idx);
-        self.mut_pages.push(page_no);
+        self.pages.retained.push(idx);
+        self.pages.touched.push(page_no);
         (r, t)
     }
 }
 
-/// What one operation touched; computed before the view's borrows end.
+/// What one operation touched beyond [`OpPages`]; computed before the
+/// view's borrows end.
 struct OpSummary {
-    retained: Vec<usize>,
-    touched: Vec<u64>,
     structural: bool,
     images: Vec<(u64, Vec<u8>)>,
 }
 
 impl<D: BlockDevice, L: BlockDevice> View<'_, D, L> {
     fn summarize(self) -> OpSummary {
-        let structural = !self.allocated.is_empty();
-        let mut touched: Vec<u64> = self.mut_pages;
-        touched.extend_from_slice(&self.allocated);
-        touched.sort_unstable();
-        touched.dedup();
+        let pages = self.pages;
+        let structural = !pages.allocated.is_empty();
+        pages.touched.extend_from_slice(&pages.allocated);
+        pages.touched.sort_unstable();
+        pages.touched.dedup();
         let images = if structural || self.image_all {
-            touched
+            pages
+                .touched
                 .iter()
                 .map(|&p| {
                     // Pages are retained-pinned, so they are resident.
-                    let idx = self
+                    let idx = pages
                         .retained
                         .iter()
                         .copied()
@@ -308,7 +338,7 @@ impl<D: BlockDevice, L: BlockDevice> View<'_, D, L> {
         } else {
             Vec::new()
         };
-        OpSummary { retained: self.retained, touched, structural, images }
+        OpSummary { structural, images }
     }
 }
 
@@ -330,11 +360,14 @@ pub struct Engine<D: BlockDevice, L: BlockDevice> {
     /// lags one checkpoint behind (it points at the *previous* Begin) so a
     /// recovery scan always crosses a complete Begin/End pair.
     last_ckpt_begin: Lsn,
-    dirty_lsn: HashMap<u64, Lsn>,
+    dirty_lsn: DetHashMap<u64, Lsn>,
     /// Pages whose full image has been logged since the last checkpoint
     /// (full-page-writes mode).
-    fpw_logged: std::collections::HashSet<u64>,
+    fpw_logged: DetHashSet<u64>,
+    /// Page-write staging: one stamped page, or a stamped double-write run.
     scratch: Vec<u8>,
+    /// The current operation's touched pages, reused across operations.
+    op_pages: OpPages,
     stats: EngineStats,
     /// Optional telemetry sink; see [`Engine::attach_telemetry`].
     tel: Option<Telemetry>,
@@ -385,9 +418,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             dwb_cursor: 0,
             catalog_seq: 0,
             last_ckpt_begin: 0,
-            dirty_lsn: HashMap::new(),
-            fpw_logged: std::collections::HashSet::new(),
+            dirty_lsn: DetHashMap::default(),
+            fpw_logged: DetHashSet::default(),
             scratch: Vec::with_capacity(cfg.page_size),
+            op_pages: OpPages::default(),
             stats: EngineStats::default(),
             tel: None,
             ledger: None,
@@ -526,9 +560,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             dwb_cursor,
             dirty_lsn,
             scratch,
+            op_pages,
             stats,
             ..
         } = self;
+        op_pages.retained.clear();
+        op_pages.touched.clear();
+        op_pages.allocated.clear();
         let mut view = View {
             pool,
             be: Backend {
@@ -546,9 +584,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             logical_ps,
             next_page,
             data_pages: cfg.data_pages,
-            retained: Vec::new(),
-            mut_pages: Vec::new(),
-            allocated: Vec::new(),
+            pages: op_pages,
             image_all: cfg.full_page_writes,
         };
         let (r, t) = f(trees, &mut view, now);
@@ -558,13 +594,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
 
     /// Append the op's log records (a [`LogRecord::PageImages`] sidecar
     /// when the op restructured the tree or full-page-writes demands
-    /// images, then the logical record itself), update per-page LSNs,
-    /// release pins.
+    /// images, then the logical record `log` appends itself), update
+    /// per-page LSNs, release pins.
     fn log_op(
         &mut self,
-        op: Option<LogRecord>,
         summary: OpSummary,
         root_change: Option<(u32, u64, u8)>,
+        log: impl FnOnce(&mut Wal),
     ) {
         let images = if summary.structural {
             if self.cfg.full_page_writes {
@@ -582,14 +618,17 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if !images.is_empty() || root_change.is_some() {
             self.wal.append(&LogRecord::PageImages { images, root_change });
         }
-        if let Some(op) = op {
-            self.wal.append(&op);
-        }
+        log(&mut self.wal);
         let lsn_end = self.wal.next_lsn();
-        for p in &summary.touched {
+        for p in &self.op_pages.touched {
             self.dirty_lsn.insert(*p, lsn_end);
         }
-        for idx in summary.retained {
+        self.release_pins();
+    }
+
+    /// Unpin the frames the last operation kept pinned.
+    fn release_pins(&mut self) {
+        for idx in self.op_pages.retained.drain(..) {
             self.pool.unpin(idx);
         }
     }
@@ -611,11 +650,11 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if summary.images.is_empty() {
             // `summarize` built images already (allocation occurred), but be
             // defensive about future changes.
-            debug_assert!(!summary.touched.is_empty());
+            debug_assert!(!self.op_pages.touched.is_empty());
         }
         // A creation is pure structure: the PageImages sidecar (with the
         // root change) is the whole story; there is no logical op to log.
-        self.log_op(None, summary, Some((id, root, height)));
+        self.log_op(summary, Some((id, root, height)), |_| {});
         Timed::new(id, t)
     }
 
@@ -648,11 +687,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         } else {
             None
         };
-        self.log_op(
-            Some(LogRecord::Put { tree, key: key.to_vec(), value: value.to_vec() }),
-            summary,
-            root_change,
-        );
+        self.log_op(summary, root_change, |wal| {
+            wal.append_put(tree, key, value);
+        });
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(value), now);
         }
@@ -669,10 +706,8 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         }
         self.stats.gets += 1;
         self.begin_op("engine.get", now);
-        let (r, summary, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
-        for idx in summary.retained {
-            self.pool.unpin(idx);
-        }
+        let (r, _, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
+        self.release_pins();
         self.note_op("engine.get", now, t);
         Timed::new(r, t)
     }
@@ -686,7 +721,9 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.begin_op("engine.delete", now);
         let (existed, summary, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
-        self.log_op(Some(LogRecord::Delete { tree, key: key.to_vec() }), summary, None);
+        self.log_op(summary, None, |wal| {
+            wal.append(&LogRecord::Delete { tree, key: key.to_vec() });
+        });
         if let Some(ledger) = &self.ledger {
             // A delete's "value" is absence: record the tombstone digest so
             // the reconciler expects `Missing` for a surviving delete.
@@ -711,15 +748,13 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.stats.gets += 1;
         self.begin_op("engine.scan", now);
         let mut out = Vec::with_capacity(limit);
-        let (_, summary, t) = self.op(now, |trees, view, t| {
+        let (_, _, t) = self.op(now, |trees, view, t| {
             trees[tree as usize].scan(view, from, t, |k, v| {
                 out.push((k.to_vec(), v.to_vec()));
                 out.len() < limit
             })
         });
-        for idx in summary.retained {
-            self.pool.unpin(idx);
-        }
+        self.release_pins();
         self.note_op("engine.scan", now, t);
         Timed::new(out, t)
     }
@@ -977,9 +1012,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             dwb_cursor: 0,
             catalog_seq,
             last_ckpt_begin: 0,
-            dirty_lsn: HashMap::new(),
-            fpw_logged: std::collections::HashSet::new(),
+            dirty_lsn: DetHashMap::default(),
+            fpw_logged: DetHashSet::default(),
             scratch: Vec::with_capacity(cfg.page_size),
+            op_pages: OpPages::default(),
             stats,
             tel: None,
             ledger: None,
@@ -1028,14 +1064,12 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
                 // Page images restore restructured pages exactly.
                 for (page, bytes) in &images {
                     self.next_page = self.next_page.max(page + 1);
-                    let (_, summary, t2) = self.op(t, |_trees, view, t| {
+                    let (_, _, t2) = self.op(t, |_trees, view, t| {
                         view.with_new_page(*page, t, |buf| {
                             buf[..bytes.len()].copy_from_slice(bytes);
                         })
                     });
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
-                    }
+                    self.release_pins();
                     t = t2;
                 }
                 if let Some((tree, root, height)) = root_change {
@@ -1048,22 +1082,18 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             LogRecord::Put { tree, key, value } => {
                 if (tree as usize) < self.trees.len() {
                     assert!(key.len() + value.len() <= bnode::max_cell_payload(logical_ps));
-                    let (_, summary, t2) = self
+                    let (_, _, t2) = self
                         .op(t, |trees, view, t| trees[tree as usize].put(view, &key, &value, t));
                     // Replay does not re-log.
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
-                    }
+                    self.release_pins();
                     t = t2;
                 }
             }
             LogRecord::Delete { tree, key } => {
                 if (tree as usize) < self.trees.len() {
-                    let (_, summary, t2) =
+                    let (_, _, t2) =
                         self.op(t, |trees, view, t| trees[tree as usize].delete(view, &key, t));
-                    for idx in summary.retained {
-                        self.pool.unpin(idx);
-                    }
+                    self.release_pins();
                     t = t2;
                 }
             }

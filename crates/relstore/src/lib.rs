@@ -246,6 +246,37 @@ mod tests {
     }
 
     #[test]
+    fn double_write_area_smaller_than_an_eviction_sweep() {
+        // An eviction sweep flushes up to 16 pages; a 4-page area takes
+        // them as area-sized runs instead of one run that cannot fit.
+        let mut cfg = small_cfg(4096);
+        cfg.double_write = true;
+        cfg.dwb_pages = 4;
+        cfg.buffer_pool_bytes = 8 * 4096;
+        let (mut e, now) =
+            Engine::create(MemDevice::new(16 * 1024), MemDevice::new(4 * 1024), cfg, 0)
+                .into_parts();
+        let (t0, t) = e.create_tree(now).into_parts();
+        let mut now = e.checkpoint(t);
+        for i in 0..3000u64 {
+            now = e.put(t0, format!("k{:06}", i).as_bytes(), &[i as u8; 64], now);
+            if i % 50 == 49 {
+                now = e.commit(now);
+            }
+        }
+        assert!(e.pool_stats().dirty_evictions > 4, "sweeps must outgrow the area");
+        assert_eq!(e.stats().dwb_writes, e.stats().page_writes);
+        let (d, l) = e.crash(now);
+        let (mut e2, mut t2) = Engine::recover(d, l, cfg, now + 1).expect("recovery").into_parts();
+        for i in (0..3000u64).step_by(41) {
+            let (v, t3) = e2.get(t0, format!("k{:06}", i).as_bytes(), t2).into_parts();
+            t2 = t3;
+            assert_eq!(v.expect("committed key"), vec![i as u8; 64], "key {i}");
+        }
+        assert_eq!(e2.stats().corrupt_reads, 0);
+    }
+
+    #[test]
     fn odsync_fsyncs_every_page_write() {
         let mut cfg = small_cfg(4096);
         cfg.o_dsync = true;

@@ -32,3 +32,22 @@ pub use resource::{MultiServer, Timeline};
 pub use rng::{Rng, SimRng};
 pub use stats::{Counter, LatencyStats, Summary};
 pub use timed::Timed;
+
+use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasherDefault;
+
+/// Fixed-key SipHash, the hasher of [`DetHashMap`] and [`DetHashSet`].
+pub type DetState = BuildHasherDefault<DefaultHasher>;
+
+/// A `HashMap` whose hashing does not change from run to run. How a hash
+/// table grows after removals depends on where its keys land, so with the
+/// standard per-process random keys the allocation count of a simulation
+/// varies between identical runs. The simulator's maps are keyed by page
+/// numbers and generated keys, never by adversarial input, so they give up
+/// nothing by hashing with fixed keys.
+pub type DetHashMap<K, V> = HashMap<K, V, DetState>;
+
+/// A `HashSet` whose hashing does not change from run to run (see
+/// [`DetHashMap`]).
+pub type DetHashSet<K> = HashSet<K, DetState>;

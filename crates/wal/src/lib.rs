@@ -290,11 +290,18 @@ impl Wal {
     /// Append a typed record; returns its LSN. Not yet durable.
     pub fn append(&mut self, rec: &LogRecord) -> Lsn {
         let before = self.buf.len();
-        let lsn = self.append_raw(&rec.encode());
+        let lsn = self.append_with(|out| rec.encode_into(out));
         if matches!(rec, LogRecord::PageImages { .. }) {
             self.image_bytes_buffered += (self.buf.len() - before) as u64;
         }
         lsn
+    }
+
+    /// Append `LogRecord::Put { tree, key, value }` encoded straight from
+    /// the borrowed parts, with no owned record; the log bytes are
+    /// identical to [`Wal::append`] of the owned record.
+    pub fn append_put(&mut self, tree: u32, key: &[u8], value: &[u8]) -> Lsn {
+        self.append_with(|out| LogRecord::encode_put_into(out, tree, key, value))
     }
 
     /// Append a pre-encoded payload. Exposed for corruption-injection
@@ -302,18 +309,27 @@ impl Wal {
     /// decode what it scans.
     #[doc(hidden)]
     pub fn append_raw(&mut self, payload: &[u8]) -> Lsn {
+        self.append_with(|out| out.extend_from_slice(payload))
+    }
+
+    /// Frame a payload straight into the tail buffer: `payload` writes it
+    /// after a reserved `[len u32][lsn u64][crc u32]` header, which is
+    /// patched once the payload is in place (no staging copy).
+    fn append_with(&mut self, payload: impl FnOnce(&mut Vec<u8>)) -> Lsn {
         let lsn = self.next_lsn;
-        // Frame the record directly into the tail buffer (no staging vec).
-        self.next_lsn += (REC_HDR + payload.len()) as u64;
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&[0u8; REC_HDR]);
+        payload(&mut self.buf);
+        let len = self.buf.len() - start - REC_HDR;
+        self.next_lsn += (REC_HDR + len) as u64;
         assert!(
             self.live_bytes() < self.capacity_bytes(),
             "log overflow: checkpoint was not taken in time"
         );
-        self.buf.reserve(REC_HDR + payload.len());
-        self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.buf.extend_from_slice(&lsn.to_le_bytes());
-        self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        self.buf.extend_from_slice(payload);
+        let crc = crc32(&self.buf[start + REC_HDR..]);
+        self.buf[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.buf[start + 4..start + 12].copy_from_slice(&lsn.to_le_bytes());
+        self.buf[start + 12..start + 16].copy_from_slice(&crc.to_le_bytes());
         self.stats.appends += 1;
         if let Some(tel) = &self.tel {
             tel.set_gauge("wal.buffered_bytes", self.buf.len() as i64);
@@ -770,6 +786,24 @@ mod tests {
         assert_eq!(a, 0);
         assert_eq!(b, (REC_HDR + one.encode().len()) as u64);
         assert_eq!(wal.next_lsn(), b + (REC_HDR + two.encode().len()) as u64);
+    }
+
+    #[test]
+    fn append_put_frames_the_same_bytes_as_an_owned_put() {
+        let (_, mut owned) = setup(3, 16);
+        let (_, mut borrowed) = setup(3, 16);
+        for i in 0..20u8 {
+            let (key, value) = (vec![i; 1 + i as usize], vec![!i; 30 * i as usize]);
+            let a = owned.append(&LogRecord::Put {
+                tree: i as u32,
+                key: key.clone(),
+                value: value.clone(),
+            });
+            let b = borrowed.append_put(i as u32, &key, &value);
+            assert_eq!(a, b);
+        }
+        assert_eq!(owned.buf, borrowed.buf);
+        assert_eq!(owned.next_lsn(), borrowed.next_lsn());
     }
 
     #[test]

@@ -61,19 +61,26 @@ pub enum LogRecord {
     PageImages { images: Vec<(u64, Vec<u8>)>, root_change: Option<(u32, u64, u8)> },
 }
 
-/// Frame a record body written by `body`: version, kind, body length and
-/// body CRC, then the body.
-fn frame(kind: u8, capacity: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-    let mut out = Vec::with_capacity(capacity);
+/// Append a framed record to `out`: version, kind, body length and body
+/// CRC, then the body written by `body`.
+fn frame_into(out: &mut Vec<u8>, kind: u8, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
     out.push(RECORD_VERSION);
     out.push(kind);
     out.extend_from_slice(&[0u8; 8]); // body_len + crc patched below
-    body(&mut out);
-    let body_len = (out.len() - FRAME) as u32;
-    let crc = crc32(&out[FRAME..]);
-    out[2..6].copy_from_slice(&body_len.to_le_bytes());
-    out[6..10].copy_from_slice(&crc.to_le_bytes());
-    out
+    body(out);
+    let body_len = (out.len() - start - FRAME) as u32;
+    let crc = crc32(&out[start + FRAME..]);
+    out[start + 2..start + 6].copy_from_slice(&body_len.to_le_bytes());
+    out[start + 6..start + 10].copy_from_slice(&crc.to_le_bytes());
+}
+
+fn put_put(out: &mut Vec<u8>, tree: u32, key: &[u8], value: &[u8]) {
+    out.extend_from_slice(&tree.to_le_bytes());
+    out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+    out.extend_from_slice(&(value.len() as u32).to_le_bytes());
+    out.extend_from_slice(key);
+    out.extend_from_slice(value);
 }
 
 fn put_doc_set(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
@@ -98,13 +105,7 @@ impl LogRecord {
 
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
-            LogRecord::Put { tree, key, value } => {
-                out.extend_from_slice(&tree.to_le_bytes());
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(&(value.len() as u32).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(value);
-            }
+            LogRecord::Put { tree, key, value } => put_put(out, *tree, key, value),
             LogRecord::Delete { tree, key } => {
                 out.extend_from_slice(&tree.to_le_bytes());
                 out.extend_from_slice(&(key.len() as u16).to_le_bytes());
@@ -138,17 +139,32 @@ impl LogRecord {
         }
     }
 
+    /// Append the framed wire format to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        frame_into(out, self.kind(), |out| self.encode_body(out));
+    }
+
     /// Serialise to the framed wire format.
     pub fn encode(&self) -> Vec<u8> {
-        frame(self.kind(), FRAME + 64, |out| self.encode_body(out))
+        let mut out = Vec::with_capacity(FRAME + 64);
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the framed bytes of `Put { tree, key, value }` to `out`,
+    /// encoded straight from the borrowed parts. Byte-identical to
+    /// `LogRecord::Put { .. }.encode_into(out)`.
+    pub fn encode_put_into(out: &mut Vec<u8>, tree: u32, key: &[u8], value: &[u8]) {
+        frame_into(out, KIND_PUT, |out| put_put(out, tree, key, value));
     }
 
     /// The framed bytes of `DocSet { key, value }`, encoded straight from
     /// the borrowed parts (no record has to own copies of them first).
     /// Byte-identical to `LogRecord::DocSet { .. }.encode()`.
     pub fn encode_doc_set(key: &[u8], value: &[u8]) -> Vec<u8> {
-        let cap = FRAME + 6 + key.len() + value.len();
-        frame(KIND_DOC_SET, cap, |out| put_doc_set(out, key, value))
+        let mut out = Vec::with_capacity(FRAME + 6 + key.len() + value.len());
+        frame_into(&mut out, KIND_DOC_SET, |out| put_doc_set(out, key, value));
+        out
     }
 
     /// Try to decode a record starting at `buf[0]`. Returns the record and
@@ -368,6 +384,21 @@ mod tests {
         for (k, v) in [(&b""[..], &b""[..]), (b"k", b"v"), (b"user42", &[9u8; 1000][..])] {
             let owned = LogRecord::DocSet { key: k.to_vec(), value: v.to_vec() }.encode();
             assert_eq!(LogRecord::encode_doc_set(k, v), owned);
+        }
+    }
+
+    #[test]
+    fn borrowed_put_encoding_matches_owned() {
+        for (tree, k, v) in
+            [(0u32, &b""[..], &b""[..]), (7, b"k", b"v"), (u32::MAX, b"row42", &[9u8; 1000][..])]
+        {
+            let owned = LogRecord::Put { tree, key: k.to_vec(), value: v.to_vec() }.encode();
+            // Appended after existing bytes, as the log tail buffer does.
+            let mut out = vec![0xAA; 5];
+            LogRecord::encode_put_into(&mut out, tree, k, v);
+            assert_eq!(&out[..5], &[0xAA; 5]);
+            assert_eq!(&out[5..], owned.as_slice());
+            assert_eq!(LogRecord::decode(&out[5..]).map(|(r, _)| r.encode()), Some(owned));
         }
     }
 

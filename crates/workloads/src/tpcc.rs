@@ -106,42 +106,43 @@ pub struct TpccReport {
 
 // ---- keys ------------------------------------------------------------------
 
-fn k_w(w: u32) -> Vec<u8> {
-    w.to_be_bytes().to_vec()
-}
-
-fn k_d(w: u32, d: u32) -> Vec<u8> {
-    let mut k = w.to_be_bytes().to_vec();
-    k.extend_from_slice(&d.to_be_bytes());
+/// Big-endian concatenation of the key parts, so keys sort by their parts
+/// in order. Keys are fixed-size arrays: building one never allocates.
+fn key<const B: usize>(parts: &[u32]) -> [u8; B] {
+    debug_assert_eq!(B, 4 * parts.len());
+    let mut k = [0u8; B];
+    for (dst, part) in k.chunks_exact_mut(4).zip(parts) {
+        dst.copy_from_slice(&part.to_be_bytes());
+    }
     k
 }
 
-fn k_c(w: u32, d: u32, c: u32) -> Vec<u8> {
-    let mut k = k_d(w, d);
-    k.extend_from_slice(&c.to_be_bytes());
-    k
+fn k_w(w: u32) -> [u8; 4] {
+    key(&[w])
 }
 
-fn k_i(i: u32) -> Vec<u8> {
-    i.to_be_bytes().to_vec()
+fn k_d(w: u32, d: u32) -> [u8; 8] {
+    key(&[w, d])
 }
 
-fn k_s(w: u32, i: u32) -> Vec<u8> {
-    let mut k = w.to_be_bytes().to_vec();
-    k.extend_from_slice(&i.to_be_bytes());
-    k
+fn k_c(w: u32, d: u32, c: u32) -> [u8; 12] {
+    key(&[w, d, c])
 }
 
-fn k_o(w: u32, d: u32, o: u32) -> Vec<u8> {
-    let mut k = k_d(w, d);
-    k.extend_from_slice(&o.to_be_bytes());
-    k
+fn k_i(i: u32) -> [u8; 4] {
+    key(&[i])
 }
 
-fn k_ol(w: u32, d: u32, o: u32, l: u32) -> Vec<u8> {
-    let mut k = k_o(w, d, o);
-    k.extend_from_slice(&l.to_be_bytes());
-    k
+fn k_s(w: u32, i: u32) -> [u8; 8] {
+    key(&[w, i])
+}
+
+fn k_o(w: u32, d: u32, o: u32) -> [u8; 12] {
+    key(&[w, d, o])
+}
+
+fn k_ol(w: u32, d: u32, o: u32, l: u32) -> [u8; 16] {
+    key(&[w, d, o, l])
 }
 
 // ---- rows ------------------------------------------------------------------
