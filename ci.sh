@@ -91,4 +91,11 @@ cargo run -p bench --release -q --bin tail -- \
 test -s "$TRACE_TMP/tail.json"
 grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
 
+echo "== table3 smoke (group-commit engine run; an anatomy violation fails the bin) =="
+# print_telemetry exits non-zero when the latency anatomy counted an op whose
+# segments exceed its wall latency; this run exercises the deferred group flush.
+cargo run -p bench --release -q --bin table3 -- --nodes 6000 --ops 3000 \
+    >"$TRACE_TMP/table3.out"
+grep -q 'segments' "$TRACE_TMP/table3.out"
+
 echo "tier-1 gate: OK"

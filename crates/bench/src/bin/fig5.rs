@@ -12,7 +12,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig5 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
+use bench::{
+    anatomy_telemetry, arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink,
+};
 use relstore::{Engine, EngineConfig};
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchSpec};
@@ -66,7 +68,7 @@ fn main() {
     for (label, paper) in PAPER {
         let barriers = label.starts_with("ON");
         let double_write = label.ends_with("ON ");
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut tps = Vec::new();
         for page_size in [16384usize, 8192, 4096] {
             let (v, _) = run_cell(barriers, double_write, page_size, nodes, ops, &tel);
@@ -91,9 +93,9 @@ fn main() {
     }
     sink.finish();
     println!(
-        "\nThe barrier rows pay their time to `wal` (commit fsyncs that drain the\n\
-         device cache) and their commit p50 sits in the milliseconds; the OFF\n\
-         rows run the same commits with `flush`/`wal` near 0% — the durable\n\
-         cache absorbs durability."
+        "\nThe barrier rows pay their time to `flush_cache` (commit fsyncs that\n\
+         drain the device cache) and their commit p50 sits in the milliseconds;\n\
+         the OFF rows run the same commits with `flush_cache` at 0% — the\n\
+         durable cache absorbs durability."
     );
 }

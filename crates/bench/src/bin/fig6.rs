@@ -10,7 +10,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin fig6 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
+use bench::{
+    anatomy_telemetry, arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink,
+};
 use relstore::{Engine, EngineConfig};
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchSpec};
@@ -57,7 +59,7 @@ fn main() {
     println!("Buffer axis: % of database size (paper: 2-10GB of a 100GB DB).\n");
     let mut miss = vec![vec![0.0; buffers.len()]; sizes.len()];
     let mut tps = vec![vec![0.0; buffers.len()]; sizes.len()];
-    let tels: Vec<Telemetry> = sizes.iter().map(|_| Telemetry::new()).collect();
+    let tels: Vec<Telemetry> = sizes.iter().map(|_| anatomy_telemetry()).collect();
     for (i, &ps) in sizes.iter().enumerate() {
         for (j, &b) in buffers.iter().enumerate() {
             let (m, t) = run_cell(ps, b, nodes, ops, &tels[i]);
@@ -93,7 +95,7 @@ fn main() {
         }
         println!();
     }
-    println!("\n(c) Stall attribution and latency per page size (whole sweep)");
+    println!("\n(c) Segment shares and latency per page size (whole sweep)");
     for (i, &ps) in sizes.iter().enumerate() {
         println!("{}KB:", ps / 1024);
         print_telemetry("    ", &tels[i], &["engine.commit", "engine.get", "pool.miss_stall"]);

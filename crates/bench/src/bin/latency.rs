@@ -37,6 +37,7 @@ use bench::{
 use docstore::{DocStore, DocStoreConfig};
 use durassd::Ssd;
 use relstore::{Engine, EngineConfig};
+use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::{SegKind, Telemetry};
 use workloads::fio::FioSpec;
@@ -84,9 +85,8 @@ fn mode_name(durable: bool) -> &'static str {
 /// itself: a real FLUSH CACHE frame when barriers are on, the in-kernel
 /// soft-fsync frame (pure `wal_fsync` time) on the nobarrier deployment.
 fn fio_row(durable: bool, ops: u64, span: u64, top_k: u64, trace: bool) -> LatRow {
-    let (mut dev, barriers, device) = device_for(durable);
+    let (dev, barriers, device) = device_for(durable);
     let tel = row_tel(top_k, trace);
-    dev.attach_telemetry(tel.clone());
     let mut vol = Volume::new(dev, barriers);
     vol.attach_telemetry(tel.clone(), "fio");
     let spec = FioSpec::random_write_4k(span, Some(1), ops);

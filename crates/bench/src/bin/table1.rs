@@ -7,8 +7,8 @@
 //! Run: `cargo run -p bench --release --bin table1 [--ops N]`
 
 use bench::{
-    durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule, ssd_a_bench, ssd_b_bench,
-    ssd_health_line, TelemetrySink,
+    anatomy_telemetry, durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule, ssd_a_bench,
+    ssd_b_bench, ssd_health_line, TelemetrySink,
 };
 use forensics::{DeviceHealth, Forensic};
 use storage::device::BlockDevice;
@@ -78,9 +78,9 @@ fn main() {
     println!("{:<16} {hdr}", "Device/Cache");
     rule(16 + 8 * FREQS.len());
     for (row, paper_vals) in PAPER {
-        // One telemetry domain per device row: the stall mix is a property
+        // One telemetry domain per device row: the segment mix is a property
         // of the device/barrier combination, aggregated across fsync freqs.
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut cells = Vec::new();
         let mut health: Option<DeviceHealth> = None;
         for (i, &freq) in FREQS.iter().enumerate() {
@@ -113,7 +113,8 @@ fn main() {
     }
     sink.finish();
     println!(
-        "\nNote the attribution shift: barriered rows burn their time in `flush`,\n\
-         while `DuraSSD NoBarr` spends ~0% there — the durable cache absorbs it."
+        "\nNote the attribution shift: barriered rows with the cache on burn their\n\
+         time in `flush_cache`, while `DuraSSD NoBarr` spends 0% there — the\n\
+         durable cache absorbs it."
     );
 }

@@ -7,7 +7,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin table2 [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule, TelemetrySink};
+use bench::{
+    anatomy_telemetry, arg_u64, durassd_bench, fmt_rate, hdd_bench, print_telemetry, rule,
+    TelemetrySink,
+};
 use storage::device::BlockDevice;
 use storage::volume::Volume;
 use telemetry::Telemetry;
@@ -99,7 +102,7 @@ fn main() {
     println!("{:<30} {:>10} {:>10} {:>10}", "", "16KB", "8KB", "4KB");
     rule(64);
     for row in &dura_rows {
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut meas = Vec::new();
         for &sz in &SIZES {
             let ops =
@@ -145,7 +148,7 @@ fn main() {
     println!("{:<30} {:>10} {:>10} {:>10}", "", "16KB", "8KB", "4KB");
     rule(64);
     for row in &hdd_rows {
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut meas = Vec::new();
         for &sz in &SIZES {
             // Reads are mechanical (few ops suffice); writes must fill the

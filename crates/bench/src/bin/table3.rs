@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run -p bench --release --bin table3 [--nodes N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, print_telemetry, rule, TelemetrySink};
+use bench::{anatomy_telemetry, arg_u64, durassd_bench, print_telemetry, rule, TelemetrySink};
 use relstore::{Engine, EngineConfig};
 use telemetry::Telemetry;
 use workloads::linkbench::{load, run, LinkBenchReport, LinkBenchSpec};
@@ -32,7 +32,7 @@ fn run_config(
     engine.set_group_commit(true);
     let spec = LinkBenchSpec { warmup_ops: ops / 5, ops, ..LinkBenchSpec::scaled(nodes, ops) };
     let (mut graph, t1) = load(&mut engine, &spec, t0);
-    let tel = Telemetry::new();
+    let tel = anatomy_telemetry();
     engine.attach_telemetry(tel.clone()); // after load: measure the run only
     let rep = run(&mut engine, &mut graph, &spec, t1);
     (rep, tel)

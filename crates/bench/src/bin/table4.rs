@@ -8,7 +8,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin table4 [--warehouses N] [--txns N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
+use bench::{
+    anatomy_telemetry, arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink,
+};
 use relstore::{Engine, EngineConfig};
 use telemetry::Telemetry;
 use workloads::tpcc::{load, run, TpccSpec};
@@ -51,7 +53,7 @@ fn main() {
     for (label, barriers, paper) in
         [("Barrier On", true, PAPER_ON), ("Barrier Off", false, PAPER_OFF)]
     {
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut row = Vec::new();
         for page_size in [16384usize, 8192, 4096] {
             let t = if barriers { txns / 4 } else { txns };

@@ -7,7 +7,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin table5 [--records N] [--ops N]`
 
-use bench::{arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink};
+use bench::{
+    anatomy_telemetry, arg_u64, durassd_bench, fmt_rate, print_telemetry, rule, TelemetrySink,
+};
 use docstore::{DocStore, DocStoreConfig};
 use telemetry::Telemetry;
 use workloads::ycsb::{load, run, YcsbSpec};
@@ -55,7 +57,7 @@ fn main() {
     println!();
     rule(28 + 9 * BATCHES.len());
     for (label, barriers, update, paper) in PAPER {
-        let tel = Telemetry::new();
+        let tel = anatomy_telemetry();
         let mut row = Vec::new();
         for &b in &BATCHES {
             let cell_ops = if *barriers && b <= 2 { ops / 4 } else { ops };

@@ -19,8 +19,8 @@
 
 use bench::schema::{check_latency_report_with, LATENCY_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, latency_row_json, print_telemetry, rule,
-    ssd_a_bench, ssd_health_line, write_atomic, TelemetrySink,
+    anatomy_telemetry, arg_flag, arg_str, arg_u64, durassd_bench, latency_row_json,
+    print_telemetry, rule, ssd_a_bench, ssd_health_line, write_atomic, TelemetrySink,
 };
 use durassd::Ssd;
 use forensics::{DeviceHealth, Forensic};
@@ -48,9 +48,8 @@ fn mixed_run(
     }
     t = vol.fsync(t).unwrap();
     // Attach after the preload so only the mixed phase is measured; the
-    // device needs its own attach for the anatomy segments it charges.
+    // volume forwards the handle to the device for the segments it charges.
     vol.attach_telemetry(tel.clone(), "tail");
-    vol.device_mut().attach_telemetry(tel.clone());
     // 64 readers + 16 writers, writers fsync every 8 writes.
     let clients = 80usize;
     let mut rngs: Vec<_> = (0..clients).map(|c| rng(0xFEED ^ (c as u64) << 20)).collect();
@@ -117,8 +116,7 @@ fn main() {
     let check = arg_flag("--check");
     println!("Tail latency under mixed read/write load (64 readers, 16 writers, fsync/8)\n");
     rule(110);
-    let tel1 = Telemetry::new();
-    tel1.enable_anatomy(8);
+    let tel1 = anatomy_telemetry();
     let (mut r1, mut w1, h1) = mixed_run(ssd_a_bench(true), true, ops, &tel1);
     report("volatile SSD, barriers ON", &mut r1, &mut w1);
     print_telemetry("    ", &tel1, &["dev.tail.read", "dev.tail.flush"]);
@@ -126,8 +124,7 @@ fn main() {
         println!("    {}", ssd_health_line(h));
     }
     sink.add("volatile SSD, barriers ON", &tel1);
-    let tel2 = Telemetry::new();
-    tel2.enable_anatomy(8);
+    let tel2 = anatomy_telemetry();
     let (mut r2, mut w2, h2) = mixed_run(durassd_bench(true), false, ops, &tel2);
     report("DuraSSD, nobarrier", &mut r2, &mut w2);
     print_telemetry("    ", &tel2, &["dev.tail.read", "dev.tail.flush"]);

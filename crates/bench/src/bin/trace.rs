@@ -25,6 +25,7 @@
 use bench::{arg_flag, arg_str, arg_u64, durassd_bench, write_atomic, TelemetrySink};
 use docstore::{DocStore, DocStoreConfig};
 use relstore::{Engine, EngineConfig};
+use storage::BlockDevice;
 use telemetry::{parse_json, validate_chrome_json, JsonValue, Telemetry};
 use workloads::tpcc;
 use workloads::ycsb;
@@ -166,9 +167,9 @@ fn self_check(trace_json: &str, series_csv: &str, tel: &Telemetry) -> Vec<String
         failures.push("series CSV has no samples".to_string());
     }
 
-    // 4. The registry JSON (counters, stalls, histograms, series) round-trips.
+    // 4. The registry JSON (counters, gauges, histograms, series) round-trips.
     let reg_json = tel.to_json();
-    match telemetry::Registry::from_json(&reg_json) {
+    match Telemetry::from_json(&reg_json) {
         Err(e) => failures.push(format!("registry JSON does not re-parse: {e}")),
         Ok(reg) => {
             if reg.to_json() != reg_json {

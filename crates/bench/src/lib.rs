@@ -40,14 +40,23 @@ pub fn hdd_bench(cache_on: bool) -> Hdd {
     Hdd::new(cfg)
 }
 
-/// Parse `--flag value` style arguments with a default.
+/// The value of `--flag value` in `args` as a `u64`, or `default` when the
+/// flag is absent. A flag without a value, or with one that does not parse,
+/// is an error naming both.
+pub fn parse_u64_flag(args: &[String], name: &str, default: u64) -> Result<u64, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(default) };
+    let v = args.get(i + 1).ok_or_else(|| format!("{name}: missing value"))?;
+    v.parse().map_err(|_| format!("{name}: expected an unsigned integer, got `{v}`"))
+}
+
+/// Parse a `--flag value` argument of the process with a default; exits
+/// with status 2 and a message on a malformed value.
 pub fn arg_u64(name: &str, default: u64) -> u64 {
     let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    parse_u64_flag(&args, name, default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse a `--flag value` string argument (`None` when absent).
@@ -78,7 +87,7 @@ pub fn write_atomic(path: &str, content: &str) -> std::io::Result<()> {
 /// [`TelemetrySink::finish`] at the end. When the bin was invoked with
 /// `--telemetry-out <path>`, finish writes one JSON document — an object
 /// keyed by section label, each value the full registry export
-/// ([`Telemetry::to_json`]: counters, gauges, stalls, histograms, and the
+/// ([`Telemetry::to_json`]: counters, gauges, histograms, and the
 /// sampled time-series when sampling was enabled) — atomically (tmp +
 /// rename) and prints the path. Without the flag everything is a no-op, so
 /// the human-readable tables stay the default interface.
@@ -164,33 +173,42 @@ pub fn rule(width: usize) {
     println!("{}", "-".repeat(width));
 }
 
-/// One-line stall breakdown: where every blocked nanosecond went, by kind.
+/// One-line latency anatomy of a run, by cause: the total segment time
+/// (the sums of the `seg.*` histograms, which anatomy records) and the
+/// share of each segment kind — `flush_cache` always, then the largest
+/// other kinds.
 ///
 /// This is the attribution the paper argues about in prose: a durable cache
-/// deployment (nobarrier) should show `flush 0.0%`, while a volatile cache
-/// with barriers pays most of its time there.
+/// deployment (nobarrier) should show `flush_cache 0.0%`, while a volatile
+/// cache with barriers pays most of its time there.
 pub fn stall_breakdown(tel: &Telemetry) -> String {
-    let s = tel.stall_totals();
-    let total = s.total();
+    let sums = SegKind::ALL.map(|k| (k, tel.histogram(k.hist_name()).map_or(0, |h| h.sum())));
+    let total: u128 = sums.iter().map(|&(_, ns)| ns).sum();
     if total == 0 {
-        return "stalls: none recorded".to_string();
+        return "segments: none recorded".to_string();
     }
-    let pct = |v: u64| 100.0 * v as f64 / total as f64;
-    format!(
-        "stalls {:>9.1}ms | media {:5.1}%  flush {:5.1}%  gc {:4.1}%  wal {:5.1}%  evict {:4.1}%",
+    let share = |(k, ns): (SegKind, u128)| {
+        format!("{} {:5.1}%", k.label(), 100.0 * ns as f64 / total as f64)
+    };
+    let mut rest: Vec<_> =
+        sums.into_iter().filter(|&(k, ns)| k != SegKind::FlushCache && ns > 0).collect();
+    rest.sort_by_key(|&(_, ns)| std::cmp::Reverse(ns));
+    let mut line = format!(
+        "segments {:>9.1}ms | {}",
         total as f64 / 1e6,
-        pct(s.media),
-        pct(s.flush_cache),
-        pct(s.gc),
-        pct(s.wal_fsync),
-        pct(s.pool_eviction)
-    )
+        share(sums[SegKind::FlushCache.index()])
+    );
+    for &s in rest.iter().take(4) {
+        line.push_str("  ");
+        line.push_str(&share(s));
+    }
+    line
 }
 
 /// One-line durability-health summary for a device that tracks it
 /// ([`forensics::Forensic::health`]): shorn reads, emergency dumps (and how
 /// many blew the capacitor budget), the largest dump, recovery runs, and
-/// acked slots destroyed. Printed next to the stall breakdown so a run's
+/// acked slots destroyed. Printed next to the segment line so a run's
 /// performance story and its durability story sit on adjacent lines.
 pub fn ssd_health_line(h: &DeviceHealth) -> String {
     // WAF is media pages per host page; absorption is the share of host
@@ -245,14 +263,30 @@ pub fn latency_line(tel: &Telemetry, name: &str) -> Option<String> {
     ))
 }
 
-/// Print the standard per-run telemetry epilogue: the stall breakdown plus
+/// A telemetry handle with latency anatomy on (8 tail outliers per op), as
+/// the bins that print [`print_telemetry`]'s segment line need.
+pub fn anatomy_telemetry() -> Telemetry {
+    let tel = Telemetry::new();
+    tel.enable_anatomy(8);
+    tel
+}
+
+/// Print the standard per-run telemetry epilogue: the segment line plus
 /// latency percentiles for every histogram in `names` that has samples.
+/// Exits with status 1 when the anatomy counted a conservation violation
+/// (an op whose segments exceed its wall latency): the line would then
+/// attribute time that never passed.
 pub fn print_telemetry(indent: &str, tel: &Telemetry, names: &[&str]) {
     println!("{indent}{}", stall_breakdown(tel));
     for name in names {
         if let Some(line) = latency_line(tel, name) {
             println!("{indent}{line}");
         }
+    }
+    let violations = tel.anatomy_violations();
+    if violations > 0 {
+        eprintln!("error: latency anatomy counted {violations} conservation violation(s)");
+        std::process::exit(1);
     }
 }
 
@@ -376,16 +410,45 @@ mod tests {
     #[test]
     fn stall_breakdown_and_latency_lines() {
         let t = Telemetry::new();
-        assert_eq!(stall_breakdown(&t), "stalls: none recorded");
-        t.stall_exact(telemetry::Stall::Media, 3_000_000);
-        t.stall_exact(telemetry::Stall::FlushCache, 1_000_000);
+        assert_eq!(stall_breakdown(&t), "segments: none recorded");
+        // Without anatomy no segment is recorded.
+        t.seg(SegKind::MediaProgram, 1_000);
+        assert_eq!(stall_breakdown(&t), "segments: none recorded");
+        t.enable_anatomy(1);
+        t.begin_frame("op", 0);
+        t.seg(SegKind::MediaProgram, 3_000_000);
+        t.seg(SegKind::Xfer, 500_000);
+        t.seg(SegKind::NcqWait, 500_000);
+        t.end_frame("op", 4_000_000);
         let line = stall_breakdown(&t);
-        assert!(line.contains("media  75.0%"), "{line}");
-        assert!(line.contains("flush  25.0%"), "{line}");
+        assert_eq!(
+            line,
+            "segments       4.0ms | flush_cache   0.0%  media_program  75.0%  \
+             ncq_wait  12.5%  xfer  12.5%",
+            "flush_cache always first, then the rest largest first"
+        );
+        t.begin_frame("op", 0);
+        t.seg(SegKind::FlushCache, 4_000_000);
+        t.end_frame("op", 4_000_000);
+        let line = stall_breakdown(&t);
+        assert!(line.starts_with("segments       8.0ms | flush_cache  50.0%"), "{line}");
         assert!(latency_line(&t, "missing").is_none());
         t.record("dev.x.write", 5_000);
         let lat = latency_line(&t, "dev.x.write").unwrap();
         assert!(lat.contains("p50") && lat.contains("p999"), "{lat}");
+    }
+
+    #[test]
+    fn u64_flags_parse_or_name_the_bad_value() {
+        let args: Vec<String> =
+            ["bin", "--commits", "abc", "--ops", "12", "--seed"].map(String::from).to_vec();
+        assert_eq!(parse_u64_flag(&args, "--ops", 5), Ok(12));
+        assert_eq!(parse_u64_flag(&args, "--absent", 5), Ok(5));
+        assert_eq!(
+            parse_u64_flag(&args, "--commits", 3_000),
+            Err("--commits: expected an unsigned integer, got `abc`".to_string())
+        );
+        assert_eq!(parse_u64_flag(&args, "--seed", 7), Err("--seed: missing value".to_string()));
     }
 
     #[test]

@@ -27,7 +27,7 @@ use durassd::{Ssd, SsdConfig};
 use simkit::alloc::{alloc_count, CountingAlloc};
 use simkit::dist::{rng, Rng};
 use storage::volume::Volume;
-use telemetry::Telemetry;
+use telemetry::{Rec, Scope, Telemetry};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -145,13 +145,24 @@ fn telemetry_recording() {
 
 fn disabled_tracing() {
     let tel = Telemetry::new();
-    // Tracing never enabled: every trace call must early-out without
-    // touching the heap (no interning, no ring work).
+    let on = Some(&tel);
+    // First samples intern the histogram names.
+    Scope::open(on, "dev", "dev.op", 0, Rec::Command).close(1);
+    Scope::open(on, "engine", "engine.op", 0, Rec::Op).close(1);
+    // Tracing and anatomy never enabled: every scope must early-out of the
+    // span and frame work without touching the heap (no interning, no ring
+    // work, no frame names).
     let allocs = allocs_during(|| {
         for i in 0..1_000u64 {
-            tel.trace_begin("dev", "op", i);
+            let op = Scope::open(on, "engine", "engine.op", i, Rec::Op);
+            let cmd = Scope::open(on, "dev", "dev.op", i, Rec::Command);
+            let span = Scope::open(on, "nand", "nand.program", i, Rec::Span);
             tel.trace_instant("dev", "tick", i);
-            tel.trace_end("dev", "op", i + 1);
+            span.close(i + 1);
+            cmd.close(i + 1);
+            Scope::open(on, "wal", "wal.group_flush", i, Rec::Detached).close(i + 1);
+            Scope::open(on, "dev", "dev.op", i, Rec::Command).abort(i);
+            op.close(i + 2);
         }
     });
     assert_eq!(allocs, 0, "disabled tracing must be free");

@@ -16,7 +16,7 @@
 //! the paper's experiments run with it off.
 
 use simkit::{DetHashMap, Nanos};
-use telemetry::{Stall, Telemetry};
+use telemetry::{Rec, Scope, Telemetry};
 
 /// Storage interface the pool evicts to and faults from.
 pub trait PageBackend {
@@ -81,9 +81,7 @@ pub struct BufferPool {
     /// the `pool.dirty_pages` gauge on every transition (the O(n)
     /// [`BufferPool::dirty_count`] stays as the ground truth for tests).
     ndirty: usize,
-    /// Optional telemetry sink. Dirty-victim writes run under a
-    /// `PoolEviction` stall context so the paper's "read blocked behind a
-    /// write" time is attributed to `pool_eviction`.
+    /// Optional telemetry sink; see [`BufferPool::attach_telemetry`].
     tel: Option<Telemetry>,
 }
 
@@ -115,11 +113,10 @@ impl BufferPool {
         }
     }
 
-    /// Attach a telemetry sink: records `pool.eviction_write` (time a miss
-    /// spends writing the dirty LRU-tail batch before its own read can
-    /// start — Fig. 1's blocked read) and `pool.miss_stall` (total fault
-    /// time) histograms, with the eviction write attributed to the
-    /// `pool_eviction` stall bucket.
+    /// Attach a telemetry sink: a `pool.eviction` scope records
+    /// `pool.eviction_write` (time a miss spends writing the dirty LRU-tail
+    /// batch before its own read can start — Fig. 1's blocked read) and a
+    /// `pool.miss` scope records `pool.miss_stall` (total fault time).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = Some(tel);
     }
@@ -232,17 +229,10 @@ impl BufferPool {
             for (slot, &i) in batch.iter_mut().zip(batch_idx[..nb].iter()) {
                 *slot = (self.frames[i].page_no, &*self.frames[i].data);
             }
-            let write_start = now;
-            if let Some(tel) = &self.tel {
-                tel.push_context(Stall::PoolEviction);
-                tel.trace_begin("pool", "pool.eviction", write_start);
-            }
+            let eviction = Rec::Hist("pool.eviction_write");
+            let scope = Scope::open(self.tel.as_ref(), "pool", "pool.eviction", now, eviction);
             now = backend.write_batch(&batch[..nb], now);
-            if let Some(tel) = &self.tel {
-                tel.pop_context();
-                tel.record("pool.eviction_write", now.saturating_sub(write_start));
-                tel.trace_end("pool", "pool.eviction", now);
-            }
+            scope.close(now);
             for &i in &batch_idx[..nb] {
                 if self.frames[i].dirty {
                     self.ndirty -= 1;
@@ -275,15 +265,11 @@ impl BufferPool {
             return (idx, now);
         }
         self.stats.misses += 1;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("pool", "pool.miss", now);
-        }
+        let miss = Rec::Hist("pool.miss_stall");
+        let scope = Scope::open(self.tel.as_ref(), "pool", "pool.miss", now, miss);
         let (idx, t) = self.take_frame(backend, now);
         let t = backend.read_page(page_no, &mut self.frames[idx].data, t);
-        if let Some(tel) = &self.tel {
-            tel.record("pool.miss_stall", t.saturating_sub(now));
-            tel.trace_end("pool", "pool.miss", t);
-        }
+        scope.close(t);
         self.install(idx, page_no);
         (idx, t)
     }

@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Rec, Scope, SegKind, Telemetry};
 
 /// SSD-specific statistics on top of the generic [`DeviceStats`].
 #[derive(Debug, Clone, Copy, Default)]
@@ -129,17 +129,6 @@ impl Ssd {
             recovery: None,
             cfg,
         }
-    }
-
-    /// Attach a telemetry sink: the FTL records GC pauses and NAND
-    /// program/erase latencies, the NAND array emits media-level trace
-    /// spans, and the device itself records flush-queue drain time
-    /// (`ssd.cache_drain`), the cache/flush trace spans, and the
-    /// occupancy/capacitor gauges.
-    pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.ftl.attach_telemetry(tel.clone());
-        self.nand.attach_telemetry(tel.clone());
-        self.tel = Some(tel);
     }
 
     /// Preallocate the NAND layer to its geometric bound (one buffer per
@@ -319,16 +308,12 @@ impl Ssd {
             *cause = self.cache.cause_of(lpn);
             *slot = (lpn, self.cache.get(lpn).expect("popped entry is present"));
         }
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ssd", "ssd.cache_drain", t);
-        }
+        let scope = Scope::open(self.tel.as_ref(), "ssd", "ssd.cache_drain", t, Rec::Span);
         let done = self
             .ftl
             .program_slots_tagged(&mut self.nand, &items[..n], &causes[..n], grant)
             .map_err(Error::into_dev)?;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "ssd.cache_drain", done);
-        }
+        scope.close(done);
         for &lpn in &lpns[..n] {
             self.cache.set_draining(lpn, done);
         }
@@ -632,6 +617,17 @@ impl BlockDevice for Ssd {
         self.cfg.logical_capacity_pages
     }
 
+    /// The FTL records GC pauses and NAND program/erase latencies, the
+    /// NAND array emits media-level trace spans, and the device itself
+    /// records flush-queue drain time (`ssd.cache_drain`), the cache/flush
+    /// trace spans, the occupancy/capacitor gauges and its anatomy
+    /// segments.
+    fn attach_telemetry(&mut self, tel: Telemetry) {
+        self.ftl.attach_telemetry(tel.clone());
+        self.nand.attach_telemetry(tel.clone());
+        self.tel = Some(tel);
+    }
+
     fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
         if !self.powered {
             return Err(DevError::PoweredOff);
@@ -722,12 +718,12 @@ impl BlockDevice for Ssd {
         self.note_arrival(now);
         self.stats.flushes += 1;
         let start = now.max(self.barrier_until);
+        // The span every barrier pays and DuraSSD's nobarrier mount never
+        // emits: the trace-level twin of the flush_cache segment.
         if let Some(tel) = &self.tel {
             tel.set_gauge("ssd.cache_occupancy", self.cache.occupied() as i64);
-            // The span every barrier pays and DuraSSD's nobarrier mount
-            // never emits: the trace-level twin of the flush_cache stall.
-            tel.trace_begin("ssd", "flush_cache", start);
         }
+        let scope = Scope::open(self.tel.as_ref(), "ssd", "flush_cache", start, Rec::Span);
         let gc_before = self.ftl.gc_time();
         let drained = self.drain_all(start)?;
         if let Some(tel) = &self.tel {
@@ -760,9 +756,7 @@ impl BlockDevice for Ssd {
                 + self.cfg.flush_fixed_cost,
         );
         self.barrier_until = done;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "flush_cache", done);
-        }
+        scope.close(done);
         if let Some(ledger) = &self.ledger {
             // A FLUSH CACHE completion is by definition a barrier ack.
             ledger.evidence(EvidenceKind::DeviceFlush, self.stats.flushes, done, true);
@@ -898,9 +892,7 @@ impl BlockDevice for Ssd {
         }
         self.powered = true;
         self.last_arrival = 0;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ssd", "postmortem_recovery", now);
-        }
+        let scope = Scope::open(self.tel.as_ref(), "ssd", "postmortem_recovery", now, Rec::Span);
         // Torn-erase sweep: a cut during an in-flight erase leaves the
         // block refusing programs until it is erased again — but the FTL
         // already recycled it. Repair before serving I/O; skipping this
@@ -947,9 +939,7 @@ impl BlockDevice for Ssd {
         self.last_arrival = self.last_arrival.max(ready);
         snap.ready_at = ready;
         self.recovery = Some(snap);
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ssd", "postmortem_recovery", ready);
-        }
+        scope.close(ready);
         ready
     }
 

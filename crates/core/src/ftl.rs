@@ -20,7 +20,7 @@ use crate::error::{Error, Result};
 use nand::{NandArray, NandError};
 use simkit::Nanos;
 use storage::device::{CauseCounts, DevError, WriteCause};
-use telemetry::Telemetry;
+use telemetry::{Rec, Scope, Telemetry};
 
 /// Sentinel: logical page not mapped / slot not in use.
 const NONE: u64 = u64::MAX;
@@ -342,11 +342,8 @@ impl Ftl {
             // both as a histogram sample and as a trace span.
             let pause = gc_end - now;
             self.stats.gc_ns += pause;
-            if let Some(tel) = &self.tel {
-                tel.record("ftl.gc_pause", pause);
-                tel.trace_begin("ftl", "ftl.gc", now);
-                tel.trace_end("ftl", "ftl.gc", gc_end);
-            }
+            Scope::open(self.tel.as_ref(), "ftl", "ftl.gc", now, Rec::Hist("ftl.gc_pause"))
+                .close(gc_end);
         }
         let done = self.program_on_plane(nand, plane, items, now);
         if let Some(tel) = &self.tel {
@@ -602,16 +599,12 @@ impl Ftl {
         let geo = *nand.geometry();
         let entries_per_page = geo.page_size / 8; // (lpn, slot) pairs, 8B packed
         let pages = self.up_list.len().div_ceil(entries_per_page).max(1);
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("ftl", "ftl.map_persist", now);
-        }
+        let scope = Scope::open(self.tel.as_ref(), "ftl", "ftl.map_persist", now, Rec::Span);
         let mut t = now;
         for _ in 0..pages {
             t = self.program_meta_page(nand, t);
         }
-        if let Some(tel) = &self.tel {
-            tel.trace_end("ftl", "ftl.map_persist", t);
-        }
+        scope.close(t);
         self.clear_unpersisted();
         t
     }

@@ -26,7 +26,7 @@ use std::rc::Rc;
 use storage::device::BlockDevice;
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::Telemetry;
+use telemetry::{Rec, Scope, Telemetry};
 use wal::LogRecord;
 
 const HEADER_MAGIC: u64 = 0x434f_5543_4848_4452;
@@ -185,9 +185,10 @@ impl<D: BlockDevice> DocStore<D> {
         self.stats
     }
 
-    /// Attach a telemetry sink to the store and its volume: device latency
-    /// histograms land under `dev.doc.*`, and the store records `doc.set` /
-    /// `doc.get` / `doc.commit` operation latencies.
+    /// Attach a telemetry sink to the store, its volume and, through the
+    /// volume, its device: device latency histograms land under
+    /// `dev.doc.*`, and the store records `doc.set` / `doc.get` /
+    /// `doc.commit` operation latencies and anatomy frames.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.vol.attach_telemetry(tel.clone(), "doc");
         self.tel = Some(tel);
@@ -203,25 +204,23 @@ impl<D: BlockDevice> DocStore<D> {
         self.ledger = Some(ledger);
     }
 
-    /// Open a per-operation trace scope (see `relstore::Engine::begin_op`):
-    /// spans emitted below the store while the operation runs share the
-    /// trace-ID allocated here, and with latency anatomy enabled the scope
-    /// is also the attribution frame lower layers charge segments against
-    /// (frames nest: `doc.set` may contain a `doc.commit` frame; both see
-    /// the same segments, so each level's conservation identity holds).
-    /// Paired with the `end_op` in `note_op`.
-    fn begin_op(&self, name: &str, now: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.begin_op("doc", name, now);
-        }
+    /// Open a per-operation [`Rec::Op`] scope (see
+    /// `relstore::Engine::open_op`): spans emitted below the store while
+    /// the operation runs share the trace-ID allocated here, and with
+    /// latency anatomy enabled the scope is also the attribution frame
+    /// lower layers charge segments against (frames nest: `doc.set` may
+    /// contain a `doc.commit` frame; both see the same segments, so each
+    /// level's conservation identity holds).
+    fn open_op(&self, name: &'static str, now: Nanos) -> Scope<'static> {
+        Scope::open(self.tel.as_ref(), "doc", name, now, Rec::Op)
     }
 
-    /// Record a store-level operation latency, close the trace scope, and
-    /// let the gauge sampler take a cadence-gated snapshot.
-    fn note_op(&self, name: &str, start: Nanos, done: Nanos) {
+    /// Close the scope from [`DocStore::open_op`] at `done` (recording the
+    /// op's latency histogram), and let the gauge sampler take a
+    /// cadence-gated snapshot.
+    fn close_op(&self, op: Scope<'static>, done: Nanos) {
+        op.close(done);
         if let Some(tel) = &self.tel {
-            tel.record(name, done.saturating_sub(start));
-            tel.end_op("doc", name, done);
             tel.sample(done);
         }
     }
@@ -412,10 +411,10 @@ impl<D: BlockDevice> DocStore<D> {
     /// `checkpoint_every_n_commits`-th header is promoted to a checkpoint
     /// anchor automatically.
     pub fn commit_header(&mut self, now: Nanos) -> Nanos {
-        self.begin_op("doc.commit", now);
+        let op = self.open_op("doc.commit", now);
         let due = self.headers_since_ckpt + 1 >= self.cfg.checkpoint_every_n_commits;
         let done = self.commit_header_inner(due, now);
-        self.note_op("doc.commit", now, done);
+        self.close_op(op, done);
         done
     }
 
@@ -423,9 +422,9 @@ impl<D: BlockDevice> DocStore<D> {
     /// the relational engine's `checkpoint`. Recovery measures its header
     /// walk (the `skipped` count) back to the newest anchor.
     pub fn commit_checkpoint(&mut self, now: Nanos) -> Nanos {
-        self.begin_op("doc.checkpoint", now);
+        let op = self.open_op("doc.checkpoint", now);
         let done = self.commit_header_inner(true, now);
-        self.note_op("doc.checkpoint", now, done);
+        self.close_op(op, done);
         done
     }
 
@@ -469,7 +468,7 @@ impl<D: BlockDevice> DocStore<D> {
     /// Insert or update a document. Returns the completion time.
     pub fn set(&mut self, key: &[u8], doc: &[u8], now: Nanos) -> Nanos {
         self.stats.sets += 1;
-        self.begin_op("doc.set", now);
+        let op = self.open_op("doc.set", now);
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(doc), now);
         }
@@ -481,14 +480,14 @@ impl<D: BlockDevice> DocStore<D> {
         let t = self.apply_tree_update(entry, now);
         self.cache_doc(&key, Some(doc));
         let done = self.finish_update(t);
-        self.note_op("doc.set", now, done);
+        self.close_op(op, done);
         done
     }
 
     /// Delete a document (tombstone entry).
     pub fn delete(&mut self, key: &[u8], now: Nanos) -> Nanos {
         self.stats.deletes += 1;
-        self.begin_op("doc.delete", now);
+        let op = self.open_op("doc.delete", now);
         if let Some(ledger) = &self.ledger {
             // Tombstone digest: a surviving delete reads back as Missing.
             ledger.pend(UnitKind::DocstoreUpdate, key, Ledger::digest(&[]), now);
@@ -503,16 +502,16 @@ impl<D: BlockDevice> DocStore<D> {
         let t = self.apply_tree_update(entry, now);
         self.cache_doc(&key, None);
         let done = self.finish_update(t);
-        self.note_op("doc.delete", now, done);
+        self.close_op(op, done);
         done
     }
 
     /// Fetch a document. Memory-first: the object cache serves hot keys; a
     /// miss walks the on-disk tree.
     pub fn get(&mut self, key: &[u8], now: Nanos) -> Timed<Option<Vec<u8>>> {
-        self.begin_op("doc.get", now);
+        let op = self.open_op("doc.get", now);
         let (v, done) = self.get_inner(key, now);
-        self.note_op("doc.get", now, done);
+        self.close_op(op, done);
         Timed::new(v, done)
     }
 

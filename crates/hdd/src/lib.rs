@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BinaryHeap};
 use storage::device::{
     check_io, BlockDevice, DevError, DevResult, DeviceStats, WriteCause, LOGICAL_PAGE,
 };
-use telemetry::{SegKind, Telemetry};
+use telemetry::{Rec, Scope, SegKind, Telemetry};
 
 /// Tunable disk parameters. Defaults approximate a 15krpm enterprise drive.
 #[derive(Debug, Clone, Copy)]
@@ -124,12 +124,6 @@ impl Hdd {
             postmortem: None,
             recovery: None,
         }
-    }
-
-    /// Attach a telemetry sink: records destage-batch mechanical time
-    /// (`hdd.destage`) and a dirty-page gauge (`hdd.cache_dirty`).
-    pub fn attach_telemetry(&mut self, tel: Telemetry) {
-        self.tel = Some(tel);
     }
 
     /// Estimated outstanding commands at `now` (for scheduler benefit).
@@ -241,8 +235,7 @@ impl Hdd {
             if done > now {
                 // Span only when the arm actually moved; zero-length
                 // destages (empty cache) would just be trace noise.
-                tel.trace_begin("hdd", "hdd.destage", now);
-                tel.trace_end("hdd", "hdd.destage", done);
+                Scope::open(Some(tel), "hdd", "hdd.destage", now, Rec::Span).close(done);
             }
         }
         done
@@ -271,6 +264,12 @@ impl Hdd {
 impl BlockDevice for Hdd {
     fn capacity_pages(&self) -> u64 {
         self.cfg.capacity_pages
+    }
+
+    /// Records destage-batch mechanical time (`hdd.destage`), a dirty-page
+    /// gauge (`hdd.cache_dirty`) and the disk's anatomy segments.
+    fn attach_telemetry(&mut self, tel: Telemetry) {
+        self.tel = Some(tel);
     }
 
     fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
@@ -379,9 +378,7 @@ impl BlockDevice for Hdd {
         let arrival = now;
         let now = now.max(self.barrier_until);
         self.seg(SegKind::FlushCache, now - arrival);
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("hdd", "flush_cache", now);
-        }
+        let scope = Scope::open(self.tel.as_ref(), "hdd", "flush_cache", now, Rec::Span);
         let drained = self.destage_all(now);
         self.seg(SegKind::HddDestage, drained - now);
         self.draining.clear();
@@ -390,9 +387,7 @@ impl BlockDevice for Hdd {
         self.seg(SegKind::FlushCache, done - drained);
         let done = done + self.cfg.command_overhead;
         self.barrier_until = done;
-        if let Some(tel) = &self.tel {
-            tel.trace_end("hdd", "flush_cache", done);
-        }
+        scope.close(done);
         Ok(done)
     }
 
@@ -429,10 +424,7 @@ impl BlockDevice for Hdd {
         self.powered = true;
         // Spin-up.
         let ready = now + 5_000_000_000;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("hdd", "postmortem_recovery", now);
-            tel.trace_end("hdd", "postmortem_recovery", ready);
-        }
+        Scope::open(self.tel.as_ref(), "hdd", "postmortem_recovery", now, Rec::Span).close(ready);
         self.recovery = Some(RecoverySnap {
             device: "hdd".into(),
             ready_at: ready,

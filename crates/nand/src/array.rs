@@ -2,7 +2,7 @@
 
 use crate::geometry::{Geometry, Ppn};
 use simkit::{BufPool, DetHashMap, Nanos, PageBuf, Timeline};
-use telemetry::Telemetry;
+use telemetry::{Rec, Scope, Telemetry};
 
 /// Errors raised by raw NAND operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,10 +225,7 @@ impl NandArray {
     /// Emit a completed media-operation span (`B` at issue, `E` at the
     /// virtual completion time).
     fn trace_span(&self, name: &str, start: Nanos, done: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("nand", name, start);
-            tel.trace_end("nand", name, done);
-        }
+        Scope::open(self.tel.as_ref(), "nand", name, start, Rec::Span).close(done);
     }
 
     /// The array's geometry.

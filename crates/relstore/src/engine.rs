@@ -43,7 +43,7 @@ use simkit::{crc32, DetHashMap, DetHashSet, Nanos, Recovered, ReplayStats, Timed
 use storage::device::{BlockDevice, DevError, WriteCause};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::Telemetry;
+use telemetry::{Rec, Scope, Telemetry};
 use wal::{CheckpointPolicy, LogRecord, Lsn, Wal, WalStats};
 
 /// Identifier of a tree (table/index) within the engine.
@@ -432,14 +432,15 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     }
 
     /// Attach a telemetry sink to every layer under this engine: the data
-    /// and log volumes (device latency histograms + media/gc/flush-cache
-    /// stall attribution), the buffer pool (`pool_eviction` stalls), the
-    /// WAL (`wal_fsync` stalls), and the engine itself (`engine.put` /
-    /// `engine.get` / `engine.commit` … latency histograms).
+    /// and log volumes and, through them, their devices (device latency
+    /// histograms, GC pauses, NAND spans, anatomy segments), the buffer
+    /// pool (eviction and miss latencies), the WAL (commit and flush
+    /// latencies), and the engine itself (`engine.put` / `engine.get` /
+    /// `engine.commit` … latency histograms and anatomy frames).
     ///
-    /// Device-internal histograms (GC pauses, NAND program/erase, cache
-    /// drain) require attaching the same handle to the device *before*
-    /// handing it to [`Engine::create`] — e.g. `ssd.attach_telemetry(...)`.
+    /// Device activity before this call — e.g. inside [`Engine::create`] —
+    /// is recorded only when the same handle was attached to the device
+    /// beforehand (`BlockDevice::attach_telemetry`).
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.data.attach_telemetry(tel.clone(), "data");
         self.logv.attach_telemetry(tel.clone(), "log");
@@ -463,28 +464,24 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         self.ledger = Some(ledger);
     }
 
-    /// Open a per-operation trace scope: every span emitted below the
-    /// engine while this operation runs (WAL flush, pool eviction, device
-    /// write, cache drain, NAND program, ...) carries the trace-ID
+    /// Open a per-operation [`Rec::Op`] scope: every span emitted below
+    /// the engine while this operation runs (WAL flush, pool eviction,
+    /// device write, cache drain, NAND program, ...) carries the trace-ID
     /// allocated here, so a whole commit renders as one track in Perfetto.
-    /// When latency anatomy is enabled the same scope doubles as the op's
+    /// When latency anatomy is enabled the same scope is the op's
     /// attribution frame: device, WAL, and cache layers charge queueing and
-    /// service segments against it, and the close in [`Engine::note_op`]
-    /// audits that the segments never exceed the op's wall latency.
-    /// Paired with the `end_op` inside [`Engine::note_op`].
-    fn begin_op(&self, name: &str, now: Nanos) {
-        if let Some(tel) = &self.tel {
-            tel.begin_op("engine", name, now);
-        }
+    /// service segments against it, and [`Engine::close_op`] audits that
+    /// the segments never exceed the op's wall latency.
+    fn open_op(&self, name: &'static str, now: Nanos) -> Scope<'static> {
+        Scope::open(self.tel.as_ref(), "engine", name, now, Rec::Op)
     }
 
-    /// Record an engine-level operation latency, close the trace scope
-    /// opened by [`Engine::begin_op`], and give the gauge sampler a chance
-    /// to take a cadence-gated snapshot.
-    fn note_op(&self, name: &str, start: Nanos, done: Nanos) {
+    /// Close the scope from [`Engine::open_op`] at `done` (recording the
+    /// op's latency histogram), and give the gauge sampler a chance to take
+    /// a cadence-gated snapshot.
+    fn close_op(&self, op: Scope<'static>, done: Nanos) {
+        op.close(done);
         if let Some(tel) = &self.tel {
-            tel.record(name, done.saturating_sub(start));
-            tel.end_op("engine", name, done);
             tel.sample(done);
         }
     }
@@ -676,7 +673,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             self.trees.len()
         );
         self.stats.puts += 1;
-        self.begin_op("engine.put", now);
+        let op = self.open_op("engine.put", now);
         let root_before = self.trees[tree as usize].root();
         let height_before = self.trees[tree as usize].height();
         let (_, summary, t) =
@@ -693,7 +690,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if let Some(ledger) = &self.ledger {
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(value), now);
         }
-        self.note_op("engine.put", now, t);
+        self.close_op(op, t);
         t
     }
 
@@ -705,10 +702,10 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(None, now);
         }
         self.stats.gets += 1;
-        self.begin_op("engine.get", now);
+        let op = self.open_op("engine.get", now);
         let (r, _, t) = self.op(now, |trees, view, t| trees[tree as usize].get(view, key, t));
         self.release_pins();
-        self.note_op("engine.get", now, t);
+        self.close_op(op, t);
         Timed::new(r, t)
     }
 
@@ -718,7 +715,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(false, now); // tree lost with the catalog: nothing to delete
         }
         self.stats.deletes += 1;
-        self.begin_op("engine.delete", now);
+        let op = self.open_op("engine.delete", now);
         let (existed, summary, t) =
             self.op(now, |trees, view, t| trees[tree as usize].delete(view, key, t));
         self.log_op(summary, None, |wal| {
@@ -729,7 +726,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             // the reconciler expects `Missing` for a surviving delete.
             ledger.pend(UnitKind::RelstoreCommit, key, Ledger::digest(&[]), now);
         }
-        self.note_op("engine.delete", now, t);
+        self.close_op(op, t);
         Timed::new(existed, t)
     }
 
@@ -746,7 +743,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             return Timed::new(Vec::new(), now); // tree lost with the catalog: empty scan
         }
         self.stats.gets += 1;
-        self.begin_op("engine.scan", now);
+        let op = self.open_op("engine.scan", now);
         let mut out = Vec::with_capacity(limit);
         let (_, _, t) = self.op(now, |trees, view, t| {
             trees[tree as usize].scan(view, from, t, |k, v| {
@@ -755,7 +752,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             })
         });
         self.release_pins();
-        self.note_op("engine.scan", now, t);
+        self.close_op(op, t);
         Timed::new(out, t)
     }
 
@@ -765,7 +762,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// polling [`Engine::needs_checkpoint`].
     pub fn commit(&mut self, now: Nanos) -> Nanos {
         self.stats.commits += 1;
-        self.begin_op("engine.commit", now);
+        let op = self.open_op("engine.commit", now);
         let target = self.wal.next_lsn();
         let mut t = self.wal.commit(&mut self.logv, target, now);
         if let Some(ledger) = &self.ledger {
@@ -774,7 +771,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
             // issues FLUSH on fsync.
             ledger.ack_all_pending(t, self.cfg.barriers);
         }
-        self.note_op("engine.commit", now, t);
+        self.close_op(op, t);
         if matches!(self.cfg.checkpoint_policy, CheckpointPolicy::EveryNCommits(_))
             && self.wal.needs_checkpoint()
         {
@@ -810,7 +807,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
     /// that pair is what lets replay prove which records to skip.
     pub fn checkpoint(&mut self, now: Nanos) -> Nanos {
         self.stats.checkpoints += 1;
-        self.begin_op("engine.checkpoint", now);
+        let op = self.open_op("engine.checkpoint", now);
         let t = self.wal.quiesce(&mut self.logv, now);
         let begin_lsn = self.wal.append(&LogRecord::CheckpointBegin { lsn: self.wal.next_lsn() });
         let t = {
@@ -857,7 +854,7 @@ impl<D: BlockDevice, L: BlockDevice> Engine<D, L> {
         if let Some(ledger) = &self.ledger {
             ledger.evidence(EvidenceKind::Checkpoint, begin_lsn, t, self.cfg.barriers);
         }
-        self.note_op("engine.checkpoint", now, t);
+        self.close_op(op, t);
         t
     }
 

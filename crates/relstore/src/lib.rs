@@ -61,8 +61,7 @@ mod tests {
     fn anatomy_frames_commits_end_to_end() {
         let tel = telemetry::Telemetry::new();
         tel.enable_anatomy(4);
-        let mut data = Ssd::new(SsdConfig::durassd(64));
-        data.attach_telemetry(tel.clone());
+        let data = Ssd::new(SsdConfig::durassd(64));
         let log = MemDevice::new(4 * 1024);
         let mut e = Engine::create(data, log, small_cfg(4096), 0).value;
         e.attach_telemetry(tel.clone());

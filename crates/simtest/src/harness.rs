@@ -403,11 +403,7 @@ fn check_engine_invariants(e: &Engine<Ssd, Ssd>) -> Result<(), String> {
 fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
     let cfg = engine_cfg();
     let tel = fuzz_tel();
-    let mut data = engine_dev();
-    data.attach_telemetry(tel.clone());
-    let mut log = engine_dev();
-    log.attach_telemetry(tel.clone());
-    let (mut eng, t0) = Engine::create(data, log, cfg, 0).into_parts();
+    let (mut eng, t0) = Engine::create(engine_dev(), engine_dev(), cfg, 0).into_parts();
     eng.attach_telemetry(tel.clone());
     let (tree, t1) = eng.create_tree(t0).into_parts();
     let mut now = eng.checkpoint(t1);
@@ -460,9 +456,9 @@ fn run_engine_case(ops: &[Op]) -> Result<(), Failure> {
                     .map_err(|e| fail(step, op, format!("recovery failed: {e}")))?;
                 let (e2, t2) = recovered.into_parts();
                 eng = e2;
-                // The devices keep their telemetry through the crash;
-                // recovery itself runs unframed, post-recovery ops frame
-                // again once the engine is re-attached.
+                // Recovery runs unframed; post-recovery ops frame again
+                // once the engine (and through it the devices) is
+                // re-attached.
                 eng.attach_telemetry(tel.clone());
                 now = t2;
                 for key in oracle.keys() {
@@ -501,9 +497,7 @@ fn doc_cfg() -> DocStoreConfig {
 
 fn run_doc_case(ops: &[Op]) -> Result<(), Failure> {
     let tel = fuzz_tel();
-    let mut dev = engine_dev();
-    dev.attach_telemetry(tel.clone());
-    let mut store = DocStore::create(dev, doc_cfg());
+    let mut store = DocStore::create(engine_dev(), doc_cfg());
     store.attach_telemetry(tel.clone());
     let mut now: Nanos = store.commit_header(0);
     let mut oracle = KvOracle::new();

@@ -1,6 +1,7 @@
 //! The block-device abstraction all simulated hardware implements.
 
 use simkit::Nanos;
+use telemetry::Telemetry;
 
 /// The logical sector size every device in this repository exposes: 4KB, the
 /// flash-page granularity the paper argues databases should adopt (§2.4).
@@ -211,11 +212,19 @@ pub trait BlockDevice {
     }
 
     /// Cumulative host-visible delay (ns) caused by background garbage
-    /// collection stalling foreground commands (SSDs only). The telemetry
-    /// layer samples this around each command to split `gc` stall time out
-    /// of raw `media` time. Default: a device with no GC reports 0.
+    /// collection stalling foreground commands (SSDs only). Harnesses
+    /// sample it around a command to see whether GC interfered. Default: a
+    /// device with no GC reports 0.
     fn gc_time(&self) -> Nanos {
         0
+    }
+
+    /// Attach a telemetry handle to the device model and every layer
+    /// inside it (an SSD's FTL and NAND array). [`crate::Volume`] forwards
+    /// its own handle here, so one attach per device stack reaches all of
+    /// them. Default: a device that records nothing ignores it.
+    fn attach_telemetry(&mut self, tel: Telemetry) {
+        let _ = tel;
     }
 
     /// Cumulative statistics.

@@ -6,22 +6,25 @@ use crate::device::{
 };
 use forensics::{EvidenceKind, Ledger};
 use simkit::Nanos;
-use telemetry::{SegKind, Stall, Telemetry};
+use telemetry::{Rec, Scope, SegKind, Telemetry};
 
 /// Cost of an `fsync` that does **not** reach the device (metadata bookkeeping
 /// in the kernel): a couple of microseconds. This is what the paper's
 /// `nobarrier` mount option reduces fsync to.
 const FSYNC_SOFT_COST: Nanos = 2_000;
 
-/// Pre-formatted telemetry names for one volume, so the hot path does not
-/// re-allocate metric keys per I/O.
+/// Index of each command's pre-formatted name in [`VolumeTel::names`].
+const READ: usize = 0;
+const WRITE: usize = 1;
+const FLUSH: usize = 2;
+const DISCARD: usize = 3;
+const FSYNC_SOFT: usize = 4;
+
+/// A volume's telemetry handle and its `dev.<label>.<command>` names,
+/// formatted once so the hot path does not re-allocate metric keys per I/O.
 struct VolumeTel {
     tel: Telemetry,
-    read: String,
-    write: String,
-    flush: String,
-    fsync_soft: String,
-    discard: String,
+    names: [String; 5],
 }
 
 /// A mounted device with a write-barrier policy.
@@ -34,12 +37,10 @@ struct VolumeTel {
 ///   trades durability for speed.
 ///
 /// A volume is the natural place to observe *host-visible* device latency,
-/// so when a [`Telemetry`] handle is attached every read/write/flush latency
-/// is histogrammed per device and every blocked nanosecond is attributed:
-/// raw service time to [`Stall::Media`], GC-induced delay (sampled via
-/// [`BlockDevice::gc_time`]) to [`Stall::Gc`], and barrier flushes to
-/// [`Stall::FlushCache`] — unless an upper layer (WAL commit, buffer-pool
-/// eviction) pushed a more specific attribution context.
+/// so when a [`Telemetry`] handle is attached every device command runs in
+/// one [`Rec::Command`] scope: a `dev` trace span, a latency sample per
+/// device and command, and an anatomy frame that the device's segment
+/// charges land in.
 pub struct Volume<D: BlockDevice> {
     dev: D,
     barriers: bool,
@@ -48,7 +49,7 @@ pub struct Volume<D: BlockDevice> {
     ledger: Option<Ledger>,
     /// Write-provenance stack: the innermost pushed cause tags every write
     /// until popped ([`WriteCause::HostData`] when empty). Same discipline
-    /// as the telemetry stall-context stack.
+    /// as the anatomy's frame stack.
     cause_stack: Vec<WriteCause>,
     /// Host-issued logical pages per declared cause (host boundary of the
     /// WAF pipeline; the device counts its own received/media boundaries).
@@ -100,22 +101,15 @@ impl<D: BlockDevice> Volume<D> {
         self.ledger = Some(ledger);
     }
 
-    /// Attach a telemetry handle; latencies are recorded under
-    /// `dev.<label>.{read,write,flush,discard}`.
+    /// Attach a telemetry handle to the volume and, through
+    /// [`BlockDevice::attach_telemetry`], to the device under it, so one
+    /// attach reaches every layer of the stack. Latencies are recorded
+    /// under `dev.<label>.{read,write,flush,discard,fsync_soft}`.
     pub fn attach_telemetry(&mut self, tel: Telemetry, label: &str) {
-        self.tel = Some(VolumeTel {
-            tel,
-            read: format!("dev.{label}.read"),
-            write: format!("dev.{label}.write"),
-            flush: format!("dev.{label}.flush"),
-            fsync_soft: format!("dev.{label}.fsync_soft"),
-            discard: format!("dev.{label}.discard"),
-        });
-    }
-
-    /// The attached telemetry handle, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tel.as_ref().map(|t| &t.tel)
+        self.dev.attach_telemetry(tel.clone());
+        let names = ["read", "write", "flush", "discard", "fsync_soft"]
+            .map(|cmd| format!("dev.{label}.{cmd}"));
+        self.tel = Some(VolumeTel { tel, names });
     }
 
     /// Whether write barriers are enabled.
@@ -128,49 +122,32 @@ impl<D: BlockDevice> Volume<D> {
         self.barriers = on;
     }
 
-    /// Record a completed media command: histogram its latency and split the
-    /// blocked time into GC-induced delay vs raw media service time.
-    fn note_media(tel: &VolumeTel, name: usize, dur: Nanos, gc: Nanos) {
-        let key = match name {
-            0 => &tel.read,
-            1 => &tel.write,
-            _ => &tel.discard,
-        };
-        tel.tel.record(key, dur);
-        let gc = gc.min(dur);
-        if gc > 0 {
-            tel.tel.stall(Stall::Gc, gc);
+    /// Issue one device command inside a [`Rec::Command`] scope named
+    /// `names[name]`. The device's segment charges — NCQ wait, channel
+    /// wait, media service, GC, flush-cache — land both in the command's
+    /// own frame and, because frames nest, in whatever host operation
+    /// (engine commit, docstore set) encloses it. A failed command closes
+    /// its scope at `now` without a latency sample, so it never leaves a
+    /// dangling frame behind.
+    fn command(
+        &mut self,
+        name: usize,
+        now: Nanos,
+        cmd: impl FnOnce(&mut D) -> DevResult<Nanos>,
+    ) -> DevResult<Nanos> {
+        let Some(vt) = &self.tel else { return cmd(&mut self.dev) };
+        let scope = Scope::open(Some(&vt.tel), "dev", &vt.names[name], now, Rec::Command);
+        let res = cmd(&mut self.dev);
+        match res {
+            Ok(end) => scope.close(end),
+            Err(_) => scope.abort(now),
         }
-        tel.tel.stall(Stall::Media, dur - gc);
+        res
     }
 
     /// Direct read of logical pages.
-    ///
-    /// The volume opens a latency-anatomy frame around every device
-    /// command (`begin_frame`/`end_frame`), so the device's segment
-    /// charges — NCQ wait, channel wait, media service, GC, flush-cache —
-    /// land both in the command's own breakdown and, because frames nest,
-    /// in whatever host operation (engine commit, docstore set) encloses
-    /// it.
     pub fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.read, now);
-            tel.tel.begin_frame(&tel.read, now);
-        }
-        let res = self.dev.read(lpn, pages, buf, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            // Close the frame on the error path too (at `now`): a failed
-            // command must not leave a dangling frame that would corrupt
-            // the attribution of every later operation.
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 0, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.read, end);
-            tel.tel.trace_end("dev", &tel.read, end);
-        }
-        res
+        self.command(READ, now, |dev| dev.read(lpn, pages, buf, now))
     }
 
     /// Direct write of logical pages, tagged with the innermost pushed
@@ -179,73 +156,40 @@ impl<D: BlockDevice> Volume<D> {
         let cause = self.current_cause();
         self.host_pages_by_cause[cause.index()] += (data.len() / LOGICAL_PAGE) as u64;
         self.dev.set_write_cause(cause);
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.write, now);
-            tel.tel.begin_frame(&tel.write, now);
-        }
-        let res = self.dev.write(lpn, data, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 1, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.write, end);
-            tel.tel.trace_end("dev", &tel.write, end);
-        }
-        res
+        self.command(WRITE, now, |dev| dev.write(lpn, data, now))
     }
 
     /// `fsync`: flush the device cache if barriers are on, otherwise only
     /// pay the in-kernel cost.
     ///
-    /// With barriers the entire wait is a FLUSH CACHE drain and is attributed
-    /// to [`Stall::FlushCache`] (minus any GC share). Without barriers no
-    /// FLUSH CACHE is issued: the soft in-kernel cost is histogrammed
-    /// separately and **not** counted as flush stall — which is exactly why
-    /// a durable-cache device mounted `nobarrier` shows a near-zero
-    /// `flush_cache` line in the benchmark reports.
+    /// With barriers the wait is a FLUSH CACHE command, whose drain the
+    /// device charges as `flush_cache` segments. Without barriers no FLUSH
+    /// CACHE is issued: the soft in-kernel cost is histogrammed separately
+    /// and charged as `wal_fsync`, never `flush_cache` — which is exactly
+    /// why a durable-cache device mounted `nobarrier` shows a zero
+    /// `flush_cache` share in the benchmark reports.
     pub fn fsync(&mut self, now: Nanos) -> DevResult<Nanos> {
         self.fsyncs += 1;
         if self.barriers {
-            let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-            if let Some(tel) = &self.tel {
-                tel.tel.trace_begin("dev", &tel.flush, now);
-                tel.tel.begin_frame(&tel.flush, now);
-            }
-            let res = self.dev.flush(now);
-            if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-                let end = *res.as_ref().unwrap_or(&now);
-                if res.is_ok() {
-                    let dur = end.saturating_sub(now);
-                    let gc = (self.dev.gc_time() - gc0).min(dur);
-                    tel.tel.record(&tel.flush, dur);
-                    if gc > 0 {
-                        tel.tel.stall(Stall::Gc, gc);
-                    }
-                    tel.tel.stall(Stall::FlushCache, dur - gc);
-                }
-                tel.tel.end_frame(&tel.flush, end);
-                tel.tel.trace_end("dev", &tel.flush, end);
-            }
-            let done = res?;
+            let done = self.command(FLUSH, now, |dev| dev.flush(now))?;
             if let Some(ledger) = &self.ledger {
                 ledger.evidence(EvidenceKind::FsyncAck, self.fsyncs, done, true);
             }
             Ok(done)
         } else {
             let done = now + FSYNC_SOFT_COST;
-            if let Some(tel) = &self.tel {
-                tel.tel.record(&tel.fsync_soft, FSYNC_SOFT_COST);
-                tel.tel.trace_instant("dev", &tel.fsync_soft, now);
+            if let Some(vt) = &self.tel {
+                let name = &vt.names[FSYNC_SOFT];
+                vt.tel.record(name, FSYNC_SOFT_COST);
+                vt.tel.trace_instant("dev", name, now);
                 // The in-kernel cost of a nobarrier fsync is WAL-fsync
                 // time in the anatomy: it is what commit-time durability
                 // costs when no FLUSH CACHE is issued, and it is the
                 // *only* durability segment a durable-cache deployment
                 // should ever show.
-                tel.tel.begin_frame(&tel.fsync_soft, now);
-                tel.tel.seg(SegKind::WalFsync, FSYNC_SOFT_COST);
-                tel.tel.end_frame(&tel.fsync_soft, done);
+                vt.tel.begin_frame(name, now);
+                vt.tel.seg(SegKind::WalFsync, FSYNC_SOFT_COST);
+                vt.tel.end_frame(name, done);
             }
             if let Some(ledger) = &self.ledger {
                 // No barrier was issued: the ack rides on the device cache's
@@ -268,21 +212,7 @@ impl<D: BlockDevice> Volume<D> {
 
     /// TRIM a range (file deletion, compaction).
     pub fn discard(&mut self, lpn: u64, pages: u32, now: Nanos) -> DevResult<Nanos> {
-        let gc0 = self.tel.as_ref().map(|_| self.dev.gc_time());
-        if let Some(tel) = &self.tel {
-            tel.tel.trace_begin("dev", &tel.discard, now);
-            tel.tel.begin_frame(&tel.discard, now);
-        }
-        let res = self.dev.discard(lpn, pages, now);
-        if let (Some(tel), Some(gc0)) = (&self.tel, gc0) {
-            let end = *res.as_ref().unwrap_or(&now);
-            if res.is_ok() {
-                Self::note_media(tel, 2, end.saturating_sub(now), self.dev.gc_time() - gc0);
-            }
-            tel.tel.end_frame(&tel.discard, end);
-            tel.tel.trace_end("dev", &tel.discard, end);
-        }
-        res
+        self.command(DISCARD, now, |dev| dev.discard(lpn, pages, now))
     }
 
     /// Cut power to the underlying device.
@@ -485,6 +415,78 @@ mod tests {
         assert_eq!(tel.last_breakdown().unwrap().name, "dev.t.discard");
         assert_eq!(tel.anatomy_violations(), 0);
         assert_eq!(tel.frame_depth(), 0, "no dangling frames");
+    }
+
+    /// A device that splits each command's service time into `xfer` and
+    /// media segments, once a telemetry handle has reached it.
+    struct ChargingDevice {
+        inner: MemDevice,
+        tel: Option<Telemetry>,
+    }
+
+    impl ChargingDevice {
+        fn charge(&self, media: SegKind, start: Nanos, done: DevResult<Nanos>) -> DevResult<Nanos> {
+            if let (Some(tel), Ok(done)) = (&self.tel, &done) {
+                let xfer = (done - start) / 4;
+                tel.seg(SegKind::Xfer, xfer);
+                tel.seg(media, done - start - xfer);
+            }
+            done
+        }
+    }
+
+    impl BlockDevice for ChargingDevice {
+        fn capacity_pages(&self) -> u64 {
+            self.inner.capacity_pages()
+        }
+        fn read(&mut self, lpn: u64, pages: u32, buf: &mut [u8], now: Nanos) -> DevResult<Nanos> {
+            let done = self.inner.read(lpn, pages, buf, now);
+            self.charge(SegKind::MediaRead, now, done)
+        }
+        fn write(&mut self, lpn: u64, data: &[u8], now: Nanos) -> DevResult<Nanos> {
+            let done = self.inner.write(lpn, data, now);
+            self.charge(SegKind::MediaProgram, now, done)
+        }
+        fn flush(&mut self, now: Nanos) -> DevResult<Nanos> {
+            self.inner.flush(now)
+        }
+        fn power_cut(&mut self, now: Nanos) {
+            self.inner.power_cut(now);
+        }
+        fn reboot(&mut self, now: Nanos) -> Nanos {
+            self.inner.reboot(now)
+        }
+        fn is_powered(&self) -> bool {
+            self.inner.is_powered()
+        }
+        fn attach_telemetry(&mut self, tel: Telemetry) {
+            self.tel = Some(tel);
+        }
+        fn stats(&self) -> DeviceStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn one_attach_reaches_the_device_segments() {
+        let tel = Telemetry::new();
+        tel.enable_anatomy(2);
+        let dev = ChargingDevice { inner: MemDevice::new(16), tel: None };
+        let mut v = Volume::new(dev, true);
+        v.attach_telemetry(tel.clone(), "t");
+        assert!(v.device().tel.is_some(), "the volume forwards its handle");
+        let t = v.write(3, &vec![7u8; LOGICAL_PAGE], 0).unwrap();
+        let bd = tel.last_breakdown().unwrap();
+        assert_eq!(bd.name, "dev.t.write");
+        assert_eq!(bd.seg(SegKind::Xfer) + bd.seg(SegKind::MediaProgram), bd.wall);
+        assert!(bd.seg(SegKind::Xfer) > 0 && bd.seg(SegKind::MediaProgram) > 0);
+        v.read(3, 1, &mut vec![0u8; LOGICAL_PAGE], t).unwrap();
+        let bd = tel.last_breakdown().unwrap();
+        assert_eq!(bd.name, "dev.t.read");
+        assert!(bd.seg(SegKind::Xfer) > 0 && bd.seg(SegKind::MediaRead) > 0);
+        assert_eq!(bd.seg(SegKind::Host), 0, "the device claimed the whole command");
+        assert!(tel.histogram("seg.media_read").is_some());
+        assert_eq!(tel.anatomy_violations(), 0);
     }
 
     #[test]

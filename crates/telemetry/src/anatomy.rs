@@ -1,12 +1,12 @@
 //! Latency anatomy: per-operation critical-path attribution.
 //!
-//! The stall taxonomy in [`crate::Stall`] answers "where did the run block,
-//! in aggregate"; it cannot answer "why was *this* p999 commit slow". This
-//! module adds the per-operation counterpart: every host operation opens a
-//! **frame**, layers underneath charge causally attributed **segments**
-//! (queueing wait vs service time per resource) into every open frame, and
-//! closing the frame yields an [`OpBreakdown`] that satisfies a hard
-//! **conservation identity**:
+//! A run-wide histogram answers "how slow were the commits"; it cannot
+//! answer "why was *this* p999 commit slow". This module adds the
+//! per-operation view: every host operation opens a **frame**, layers
+//! underneath charge causally attributed **segments** (queueing wait vs
+//! service time per resource) into the open frames, and closing the frame
+//! yields an [`OpBreakdown`] that satisfies a hard **conservation
+//! identity**:
 //!
 //! ```text
 //!   sum(segments) == wall latency          (exactly, in virtual nanoseconds)
@@ -26,6 +26,12 @@
 //! wall is inside the parent's, so the parent's identity still holds — its
 //! own `host` remainder simply shrinks. Only the innermost frame's remainder
 //! is *computed*; parents absorb their children's totals transparently.
+//!
+//! The one exception is a **detached** frame: work issued on behalf of no
+//! enclosing operation (the WAL's deferred group flush, which starts where
+//! the previous flush ended, before the commit that happens to fire it).
+//! Its wall is not inside its parent's, so charges land in it and in the
+//! frames it encloses, and stop there.
 //!
 //! On top of the per-op breakdowns sit two aggregate views:
 //!
@@ -170,6 +176,8 @@ struct Frame {
     name: String,
     start: Nanos,
     trace: TraceId,
+    /// Charges stop here instead of reaching the enclosing frames.
+    detached: bool,
     segs: [Nanos; N_SEG],
 }
 
@@ -334,20 +342,25 @@ impl Anatomy {
         Self { frames: Vec::new(), last: None, violations: 0, outliers: OutlierCap::new(k) }
     }
 
-    /// Open a frame for the named op at `ts` under trace-ID `trace`.
-    pub fn begin(&mut self, name: &str, ts: Nanos, trace: TraceId) {
-        self.frames.push(Frame { name: name.to_string(), start: ts, trace, segs: [0; N_SEG] });
+    /// Open a frame for the named op at `ts` under trace-ID `trace`;
+    /// a `detached` frame keeps its charges from the frames enclosing it.
+    pub fn begin(&mut self, name: &str, ts: Nanos, trace: TraceId, detached: bool) {
+        let segs = [0; N_SEG];
+        self.frames.push(Frame { name: name.to_string(), start: ts, trace, detached, segs });
     }
 
-    /// Charge `ns` of `kind` into every open frame. Returns `true` if at
-    /// least one frame was charged (the caller then records the per-kind
-    /// histogram sample).
+    /// Charge `ns` of `kind` into every open frame from the innermost out
+    /// to the innermost detached one. Returns `true` if at least one frame
+    /// was charged (the caller then records the per-kind histogram sample).
     pub fn charge(&mut self, kind: SegKind, ns: Nanos) -> bool {
         if self.frames.is_empty() {
             return false;
         }
-        for f in &mut self.frames {
+        for f in self.frames.iter_mut().rev() {
             f.segs[kind.index()] += ns;
+            if f.detached {
+                break;
+            }
         }
         true
     }
@@ -428,7 +441,7 @@ mod tests {
     #[test]
     fn frame_close_sweeps_remainder_and_conserves() {
         let mut a = Anatomy::new(4);
-        a.begin("op", 100, 7);
+        a.begin("op", 100, 7, false);
         assert!(a.charge(SegKind::MediaRead, 30));
         assert!(a.charge(SegKind::NcqWait, 20));
         let host = a.end("op", 180).unwrap();
@@ -445,9 +458,9 @@ mod tests {
     #[test]
     fn nested_frames_each_conserve() {
         let mut a = Anatomy::new(4);
-        a.begin("outer", 0, 1);
+        a.begin("outer", 0, 1, false);
         a.charge(SegKind::WalFsync, 10);
-        a.begin("inner", 50, 2);
+        a.begin("inner", 50, 2, false);
         a.charge(SegKind::MediaProgram, 25); // lands in both frames
         a.end("inner", 80);
         let inner = a.last().unwrap().clone();
@@ -469,7 +482,7 @@ mod tests {
     #[test]
     fn over_attribution_counts_a_violation() {
         let mut a = Anatomy::new(4);
-        a.begin("op", 0, 0);
+        a.begin("op", 0, 0, false);
         a.charge(SegKind::Xfer, 500);
         a.end("op", 100); // wall 100 < claimed 500
         assert_eq!(a.violations(), 1);
@@ -482,7 +495,7 @@ mod tests {
     fn charge_outside_any_frame_is_dropped() {
         let mut a = Anatomy::new(4);
         assert!(!a.charge(SegKind::MediaRead, 99));
-        a.begin("op", 0, 0);
+        a.begin("op", 0, 0, false);
         a.end("op", 10);
         assert_eq!(a.last().unwrap().seg(SegKind::MediaRead), 0);
     }
@@ -534,10 +547,10 @@ mod tests {
     #[test]
     fn clear_resets_state_but_keeps_capacity() {
         let mut a = Anatomy::new(2);
-        a.begin("op", 0, 0);
+        a.begin("op", 0, 0, false);
         a.charge(SegKind::Xfer, 10);
         a.end("op", 5); // violation
-        a.begin("dangling", 0, 0);
+        a.begin("dangling", 0, 0, false);
         a.clear();
         assert_eq!(a.depth(), 0);
         assert_eq!(a.violations(), 0);

@@ -1,45 +1,35 @@
 //! Per-layer latency telemetry for the DuraSSD reproduction.
 //!
 //! The paper's central claims (Tables 1–5, Figs 5–6) are about *where the
-//! host stalls*: FLUSH CACHE latency, fsync tail latency, and commit-time
+//! host waits*: FLUSH CACHE latency, fsync tail latency, and commit-time
 //! variance between a durable-cache SSD and volatile-cache baselines. Coarse
-//! cumulative counters cannot express a p99 or attribute a stall to a layer,
+//! cumulative counters cannot express a p99 or attribute a wait to a cause,
 //! so this crate provides the measurement substrate used by every layer of
 //! the stack:
 //!
 //! * [`Histogram`] — HDR-style log-bucketed latency histogram (power-of-two
 //!   buckets with 16 linear sub-buckets each) with p50/p90/p99/p999/max.
-//! * [`Registry`] — named histograms, counters, and gauges plus per-kind
-//!   stall totals.
-//! * [`Telemetry`] — a cheaply clonable handle (`Rc<RefCell<Registry>>`; the
-//!   simulation is single-threaded virtual time) that layers embed.
-//! * [`Span`] — a scope recorder keyed on virtual [`Nanos`]: open at `now`,
-//!   close at the operation's virtual completion time.
-//! * [`Stall`] — the stall taxonomy: every nanosecond the host blocks is
-//!   tagged `media`, `flush_cache`, `gc`, `wal_fsync`, or `pool_eviction`.
+//! * [`Telemetry`] — a cheaply clonable handle (`Rc<RefCell<..>>`; the
+//!   simulation is single-threaded virtual time) holding named histograms,
+//!   counters and gauges plus the optional trace ring, gauge sampler and
+//!   latency anatomy. Layers embed it.
+//! * [`Scope`] — the one instrumentation primitive: an operation opens a
+//!   scope at issue time ([`Scope::open`]) and closes it at completion
+//!   ([`Scope::close`]). [`Rec`] says what the scope records — its trace
+//!   span, a latency histogram sample, an anatomy frame.
 //! * [`SegKind`] / [`OpBreakdown`] — the per-operation latency anatomy:
 //!   each host op carries a segment breakdown (queueing wait vs service per
 //!   resource) that sums exactly to its wall latency, plus per-kind
-//!   histograms and a bounded tail-outlier capturer (see [`anatomy`](crate)
-//!   module docs).
-//! * JSON export/import ([`Telemetry::to_json`], [`Registry::from_json`]) —
+//!   `seg.<label>` histograms and a bounded tail-outlier capturer (see the
+//!   `anatomy` module docs). The segment kinds are the only taxonomy of
+//!   waiting time: a run-wide "where did the time go" line is the sums of
+//!   the `seg.*` histograms.
+//! * JSON export/import ([`Telemetry::to_json`], [`Telemetry::from_json`]) —
 //!   hand-rolled, no external dependencies, exact round-trip.
-//!
-//! # Stall attribution
-//!
-//! Lower layers (the volume) observe raw device time but do not know *why*
-//! the host is waiting; upper layers (WAL, buffer pool) know why but not how
-//! long the device took. The registry therefore keeps a small **context
-//! stack**: when the WAL flushes its buffer it pushes [`Stall::WalFsync`],
-//! so every media/flush nanosecond the volume reports underneath is
-//! re-attributed to `wal_fsync` instead of double-counted as generic media
-//! time. The invariant is that each blocked nanosecond lands in exactly one
-//! bucket.
 
 use simkit::Nanos;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::fmt;
 use std::rc::Rc;
 
 mod anatomy;
@@ -55,128 +45,86 @@ pub use trace::{
     CHROME_EVENT_FIELDS,
 };
 
-/// Why the host is blocked — the paper's stall taxonomy.
-///
-/// Every nanosecond of host-visible blocking is attributed to exactly one of
-/// these causes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Stall {
-    /// Raw media/interconnect service time of reads and writes.
-    Media,
-    /// Waiting for a FLUSH CACHE (write-barrier) to drain the device cache.
-    FlushCache,
-    /// Waiting for FTL garbage collection that delayed a host command.
-    Gc,
-    /// Waiting for a WAL buffer flush + fsync at commit time.
-    WalFsync,
-    /// Waiting for a dirty-victim eviction write in the buffer pool.
-    PoolEviction,
+/// What a [`Scope`] records between [`Scope::open`] and [`Scope::close`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rec<'a> {
+    /// The trace span only: device-internal work such as a NAND program,
+    /// a GC pass or a cache drain.
+    Span,
+    /// The span, and the latency into the named histogram (WAL, buffer
+    /// pool).
+    Hist(&'a str),
+    /// The span, the latency under the span's own name, and an anatomy
+    /// frame: one device command issued by a volume.
+    Command,
+    /// As [`Rec::Command`], under a fresh trace-ID that every event emitted
+    /// underneath inherits: one host operation (engine or docstore op).
+    Op,
+    /// An anatomy frame only, whose segment charges stay inside it: work
+    /// issued on behalf of no enclosing operation (the WAL's deferred group
+    /// flush, issued before the op that happens to fire it began).
+    Detached,
 }
 
-impl Stall {
-    /// All kinds, in display order.
-    pub const ALL: [Stall; 5] =
-        [Stall::Media, Stall::FlushCache, Stall::Gc, Stall::WalFsync, Stall::PoolEviction];
+/// One instrumented operation, opened at its issue time by [`Scope::open`]
+/// and closed at its completion by [`Scope::close`] (or [`Scope::abort`]
+/// when it failed). A scope opened without a telemetry handle records
+/// nothing.
+#[must_use = "close the scope at the operation's completion"]
+#[derive(Debug)]
+pub struct Scope<'a> {
+    tel: Option<Telemetry>,
+    cat: &'a str,
+    name: &'a str,
+    start: Nanos,
+    rec: Rec<'a>,
+}
 
-    /// Stable snake_case name used in JSON and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Stall::Media => "media",
-            Stall::FlushCache => "flush_cache",
-            Stall::Gc => "gc",
-            Stall::WalFsync => "wal_fsync",
-            Stall::PoolEviction => "pool_eviction",
+impl<'a> Scope<'a> {
+    /// Open a scope on `tel` for one operation issued at `ts`: emits the
+    /// span's `Begin` event (under a fresh trace-ID for [`Rec::Op`]) and
+    /// opens the anatomy frame when `rec` asks for one. With tracing and
+    /// anatomy disabled this touches nothing but the handle.
+    #[inline]
+    pub fn open(
+        tel: Option<&Telemetry>,
+        cat: &'a str,
+        name: &'a str,
+        ts: Nanos,
+        rec: Rec<'a>,
+    ) -> Self {
+        if let Some(tel) = tel {
+            tel.inner.borrow_mut().begin_scope(cat, name, ts, rec);
+        }
+        Scope { tel: tel.cloned(), cat, name, start: ts, rec }
+    }
+
+    /// Close the scope at the operation's completion time `end`: records
+    /// the latency sample (if the scope keeps one), closes the anatomy
+    /// frame and emits the span's `End` event.
+    #[inline]
+    pub fn close(self, end: Nanos) {
+        if let Some(tel) = &self.tel {
+            tel.inner.borrow_mut().end_scope(&self, end, true);
         }
     }
 
-    fn index(self) -> usize {
-        match self {
-            Stall::Media => 0,
-            Stall::FlushCache => 1,
-            Stall::Gc => 2,
-            Stall::WalFsync => 3,
-            Stall::PoolEviction => 4,
-        }
-    }
-}
-
-impl fmt::Display for Stall {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Totals (in nanoseconds of host blocking) per stall kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StallTotals {
-    /// Raw media service time.
-    pub media: Nanos,
-    /// FLUSH CACHE drain time.
-    pub flush_cache: Nanos,
-    /// GC-induced delay.
-    pub gc: Nanos,
-    /// WAL fsync waits.
-    pub wal_fsync: Nanos,
-    /// Buffer-pool eviction writes.
-    pub pool_eviction: Nanos,
-}
-
-impl StallTotals {
-    /// Sum over all kinds.
-    pub fn total(&self) -> Nanos {
-        self.media + self.flush_cache + self.gc + self.wal_fsync + self.pool_eviction
-    }
-
-    /// Value for one kind.
-    pub fn get(&self, kind: Stall) -> Nanos {
-        match kind {
-            Stall::Media => self.media,
-            Stall::FlushCache => self.flush_cache,
-            Stall::Gc => self.gc,
-            Stall::WalFsync => self.wal_fsync,
-            Stall::PoolEviction => self.pool_eviction,
+    /// Close the scope of an operation that failed, at `at`: the frame and
+    /// the span end there, and no latency sample is recorded.
+    #[inline]
+    pub fn abort(self, at: Nanos) {
+        if let Some(tel) = &self.tel {
+            tel.inner.borrow_mut().end_scope(&self, at, false);
         }
     }
 }
 
-/// A point-in-time copy of a registry's counters (see
-/// [`Registry::snapshot`]): the start or end edge of a measurement window.
-#[derive(Debug, Clone, Default)]
-pub struct CounterSnapshot {
-    counters: BTreeMap<String, u64>,
-}
-
-impl CounterSnapshot {
-    /// Value of `name` at snapshot time (0 if the counter did not exist).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Per-counter increase from `self` (the earlier edge) to `later`.
-    /// Counters born inside the window count from zero; counters that did
-    /// not move are omitted.
-    pub fn delta(&self, later: &CounterSnapshot) -> BTreeMap<String, u64> {
-        let mut out = BTreeMap::new();
-        for (name, &v) in &later.counters {
-            let d = v.saturating_sub(self.counter(name));
-            if d > 0 {
-                out.insert(name.clone(), d);
-            }
-        }
-        out
-    }
-}
-
-/// The backing store for one telemetry domain: named histograms, counters,
-/// gauges, per-kind stall totals, the stall-attribution context stack, and
-/// (when enabled) the event-trace ring, trace-ID stack and gauge sampler.
-#[derive(Debug, Default, Clone)]
-pub struct Registry {
+/// The registry behind a [`Telemetry`] handle.
+#[derive(Debug, Default)]
+struct Inner {
     hists: BTreeMap<String, Histogram>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, i64>,
-    stalls: [Nanos; 5],
-    context: Vec<Stall>,
     trace: Option<TraceBuf>,
     trace_stack: Vec<TraceId>,
     next_trace: u64,
@@ -184,17 +132,9 @@ pub struct Registry {
     anatomy: Option<Anatomy>,
 }
 
-impl Registry {
-    /// Fresh, empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record one latency sample into the named histogram.
-    ///
-    /// Steady-state recording is allocation-free: the name is only turned
-    /// into an owned `String` the first time it is seen.
-    pub fn record(&mut self, name: &str, ns: Nanos) {
+impl Inner {
+    /// Allocation-free after the first sample of a name.
+    fn record(&mut self, name: &str, ns: Nanos) {
         if let Some(h) = self.hists.get_mut(name) {
             h.record(ns);
         } else {
@@ -202,367 +142,77 @@ impl Registry {
         }
     }
 
-    /// Add to a named counter (allocation-free after the first sample).
-    pub fn incr(&mut self, name: &str, by: u64) {
-        if let Some(c) = self.counters.get_mut(name) {
-            *c += by;
-        } else {
-            self.counters.insert(name.to_string(), by);
-        }
-    }
-
-    /// Set a named gauge (allocation-free after the first sample).
-    pub fn set_gauge(&mut self, name: &str, value: i64) {
-        if let Some(g) = self.gauges.get_mut(name) {
-            *g = value;
-        } else {
-            self.gauges.insert(name.to_string(), value);
-        }
-    }
-
-    /// Attribute `ns` nanoseconds of host blocking. If an attribution
-    /// context is active (e.g. the WAL is inside a commit flush), the time
-    /// is charged to the innermost context instead of `kind`, so a
-    /// nanosecond is never double-counted.
-    pub fn stall(&mut self, kind: Stall, ns: Nanos) {
-        let attributed = *self.context.last().unwrap_or(&kind);
-        self.stalls[attributed.index()] += ns;
-    }
-
-    /// Attribute `ns` to `kind` unconditionally, ignoring the context stack.
-    pub fn stall_exact(&mut self, kind: Stall, ns: Nanos) {
-        self.stalls[kind.index()] += ns;
-    }
-
-    /// Push an attribution context (see [`Registry::stall`]).
-    pub fn push_context(&mut self, kind: Stall) {
-        self.context.push(kind);
-    }
-
-    /// Pop the innermost attribution context.
-    pub fn pop_context(&mut self) {
-        self.context.pop();
-    }
-
-    /// Per-kind stall totals.
-    pub fn stall_totals(&self) -> StallTotals {
-        StallTotals {
-            media: self.stalls[0],
-            flush_cache: self.stalls[1],
-            gc: self.stalls[2],
-            wal_fsync: self.stalls[3],
-            pool_eviction: self.stalls[4],
-        }
-    }
-
-    /// Named histogram, if any samples were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
-    /// Named counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Point-in-time copy of every named counter. Counters are cumulative;
-    /// to measure a steady-state window (excluding warm-up), snapshot at
-    /// the window edges and diff with [`CounterSnapshot::delta`].
-    pub fn snapshot(&self) -> CounterSnapshot {
-        CounterSnapshot { counters: self.counters.clone() }
-    }
-
-    /// Named gauge, if set.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.get(name).copied()
-    }
-
-    /// Names of all histograms with at least one sample.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.hists.keys().cloned().collect()
-    }
-
-    /// Start recording trace events into a ring of `capacity` events.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.trace = Some(TraceBuf::new(capacity));
-    }
-
-    /// True once [`Registry::enable_tracing`] was called.
-    pub fn tracing_enabled(&self) -> bool {
-        self.trace.is_some()
-    }
-
-    /// The trace ring, if tracing is enabled.
-    pub fn trace_buf(&self) -> Option<&TraceBuf> {
-        self.trace.as_ref()
-    }
-
-    /// Open a host-operation scope: allocates a fresh [`TraceId`], pushes
-    /// it on the trace-ID stack (every event emitted underneath — WAL,
-    /// volume, device, NAND — inherits it), and records the opening
-    /// `Begin`. When anatomy is enabled, also opens an attribution frame
-    /// (see [`Registry::begin_frame`]). Pair with [`Registry::end_op`].
-    /// Returns 0 (no trace-ID) when tracing is disabled; the anatomy frame
-    /// opens regardless.
-    pub fn begin_op(&mut self, cat: &str, name: &str, ts: Nanos) -> TraceId {
-        let mut id = 0;
-        if let Some(t) = self.trace.as_mut() {
-            self.next_trace += 1;
-            id = self.next_trace;
-            self.trace_stack.push(id);
-            t.push(ts, id, Phase::Begin, cat, name);
-        }
-        self.begin_frame(name, ts);
-        id
-    }
-
-    /// Close the innermost host-operation scope opened by
-    /// [`Registry::begin_op`]: closes the anatomy frame (if enabled), then
-    /// pops the trace-ID and records the `End` event.
-    pub fn end_op(&mut self, cat: &str, name: &str, ts: Nanos) {
-        self.end_frame(name, ts);
-        if let Some(t) = self.trace.as_mut() {
-            let id = self.trace_stack.pop().unwrap_or(0);
-            t.push(ts, id, Phase::End, cat, name);
-        }
-    }
-
-    /// The trace-ID of the operation currently in scope (0 if none).
-    pub fn current_trace(&self) -> TraceId {
-        *self.trace_stack.last().unwrap_or(&0)
-    }
-
-    /// Record a `Begin` event under the current trace-ID. No-op when
-    /// tracing is disabled — returns before any name interning or
-    /// trace-stack work happens.
-    pub fn trace_begin(&mut self, cat: &str, name: &str, ts: Nanos) {
+    /// Push a trace event under the current trace-ID. No-op (before any
+    /// name interning) when tracing is disabled.
+    fn event(&mut self, ts: Nanos, ph: Phase, cat: &str, name: &str) {
         let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::Begin, cat, name);
+        t.push(ts, *self.trace_stack.last().unwrap_or(&0), ph, cat, name);
     }
 
-    /// Record an `End` event under the current trace-ID.
-    pub fn trace_end(&mut self, cat: &str, name: &str, ts: Nanos) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::End, cat, name);
-    }
-
-    /// Record an `Instant` event under the current trace-ID.
-    pub fn trace_instant(&mut self, cat: &str, name: &str, ts: Nanos) {
-        let Some(t) = self.trace.as_mut() else { return };
-        let id = *self.trace_stack.last().unwrap_or(&0);
-        t.push(ts, id, Phase::Instant, cat, name);
-    }
-
-    /// Start sampling all gauges every `cadence` virtual nanoseconds.
-    pub fn enable_sampling(&mut self, cadence: Nanos) {
-        self.sampler = Some(Sampler::new(cadence));
-    }
-
-    /// Tick the sampler at virtual time `now` (no-op unless sampling is
-    /// enabled and the cadence has elapsed). The engine and docstore call
-    /// this once per operation, so bench bins never need loop access.
-    pub fn sample(&mut self, now: Nanos) {
-        if let Some(s) = self.sampler.as_mut() {
-            s.sample_if_due(now, &self.gauges);
-        }
-    }
-
-    /// Take the final sample at end-of-run (always fires; see
-    /// [`Sampler::finish`]).
-    pub fn finish_sampling(&mut self, now: Nanos) {
-        if let Some(s) = self.sampler.as_mut() {
-            s.finish(now, &self.gauges);
-        }
-    }
-
-    /// The gauge sampler, if sampling is enabled.
-    pub fn sampler(&self) -> Option<&Sampler> {
-        self.sampler.as_ref()
-    }
-
-    /// Start per-operation latency-anatomy tracking, capturing the `k`
-    /// slowest ops per name in the tail-outlier capturer. Until this is
-    /// called, every frame/segment hook is a free no-op.
-    pub fn enable_anatomy(&mut self, k: usize) {
-        self.anatomy = Some(Anatomy::new(k));
-    }
-
-    /// True once [`Registry::enable_anatomy`] was called.
-    pub fn anatomy_enabled(&self) -> bool {
-        self.anatomy.is_some()
-    }
-
-    /// Open an attribution frame for op `name` at `ts` without emitting
-    /// any trace event (used for device-level ops that are not trace
-    /// scopes, and by [`Registry::begin_op`] for ops that are). The frame
-    /// inherits the current trace-ID. No-op when anatomy is disabled.
-    pub fn begin_frame(&mut self, name: &str, ts: Nanos) {
+    fn begin_frame(&mut self, name: &str, ts: Nanos, detached: bool) {
         let trace = *self.trace_stack.last().unwrap_or(&0);
         if let Some(a) = self.anatomy.as_mut() {
-            a.begin(name, ts, trace);
+            a.begin(name, ts, trace, detached);
         }
     }
 
-    /// Close the innermost attribution frame at `ts`: audits the
-    /// conservation identity, sweeps the unattributed remainder into
-    /// [`SegKind::Host`] (recording it in the `seg.host` histogram), and
-    /// offers the breakdown to the outlier capturer. No-op when anatomy is
-    /// disabled or no frame is open.
-    pub fn end_frame(&mut self, name: &str, ts: Nanos) {
-        let host = match self.anatomy.as_mut() {
-            Some(a) => a.end(name, ts),
-            None => None,
-        };
-        if let Some(host) = host {
-            if host > 0 {
-                self.record(SegKind::Host.hist_name(), host);
+    fn end_frame(&mut self, name: &str, ts: Nanos) {
+        let host = self.anatomy.as_mut().and_then(|a| a.end(name, ts));
+        if let Some(host) = host.filter(|&h| h > 0) {
+            self.record(SegKind::Host.hist_name(), host);
+        }
+    }
+
+    /// The opening half of [`Scope::open`].
+    fn begin_scope(&mut self, cat: &str, name: &str, ts: Nanos, rec: Rec<'_>) {
+        if rec == Rec::Op && self.trace.is_some() {
+            self.next_trace += 1;
+            self.trace_stack.push(self.next_trace);
+        }
+        if rec != Rec::Detached {
+            self.event(ts, Phase::Begin, cat, name);
+        }
+        if matches!(rec, Rec::Command | Rec::Op | Rec::Detached) {
+            self.begin_frame(name, ts, rec == Rec::Detached);
+        }
+    }
+
+    /// Close `s` at `end`: the latency sample (when `sample` and the scope
+    /// keeps one), the frame, then the span's `End` event.
+    fn end_scope(&mut self, s: &Scope<'_>, end: Nanos, sample: bool) {
+        if sample {
+            let ns = end.saturating_sub(s.start);
+            match s.rec {
+                Rec::Hist(h) => self.record(h, ns),
+                Rec::Command | Rec::Op => self.record(s.name, ns),
+                Rec::Span | Rec::Detached => {}
             }
         }
-    }
-
-    /// Charge `ns` nanoseconds of causally attributed segment `kind` into
-    /// every open frame and the per-kind `seg.<label>` histogram. A charge
-    /// with no open frame (background work outside any host op) is
-    /// dropped; zero-length charges are free no-ops.
-    pub fn seg(&mut self, kind: SegKind, ns: Nanos) {
-        if ns == 0 {
-            return;
+        if matches!(s.rec, Rec::Command | Rec::Op | Rec::Detached) {
+            self.end_frame(s.name, end);
         }
-        let charged = match self.anatomy.as_mut() {
-            Some(a) => a.charge(kind, ns),
-            None => false,
-        };
-        if charged {
-            self.record(kind.hist_name(), ns);
-        }
-    }
-
-    /// Ops whose claimed segments exceeded wall latency (must stay 0; the
-    /// anatomy conservation audit).
-    pub fn anatomy_violations(&self) -> u64 {
-        self.anatomy.as_ref().map_or(0, |a| a.violations())
-    }
-
-    /// The most recently closed per-op breakdown, if anatomy is enabled
-    /// and at least one frame has closed.
-    pub fn last_breakdown(&self) -> Option<&OpBreakdown> {
-        self.anatomy.as_ref().and_then(|a| a.last())
-    }
-
-    /// Number of attribution frames currently open.
-    pub fn frame_depth(&self) -> usize {
-        self.anatomy.as_ref().map_or(0, |a| a.depth())
-    }
-
-    /// The tail-outlier capturer, if anatomy is enabled.
-    pub fn outliers(&self) -> Option<&OutlierCap> {
-        self.anatomy.as_ref().map(|a| a.outliers())
-    }
-
-    /// Drop all recorded data (contexts are preserved; tracing and
-    /// sampling stay enabled but their buffers empty).
-    pub fn reset(&mut self) {
-        self.hists.clear();
-        self.counters.clear();
-        self.gauges.clear();
-        self.stalls = [0; 5];
-        if let Some(t) = &mut self.trace {
-            t.clear();
-        }
-        if let Some(s) = &mut self.sampler {
-            s.clear();
-        }
-        if let Some(a) = &mut self.anatomy {
-            a.clear();
-        }
-    }
-
-    /// Serialise the registry to a JSON object. Histograms are exported
-    /// with their raw (index, count) bucket list so the export is lossless.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push('{');
-        out.push_str("\"stalls\":{");
-        for (i, kind) in Stall::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("\"{}\":{}", kind.name(), self.stalls[kind.index()]));
-        }
-        out.push_str("},\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), v));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!("{}:{}", json::quote(k), h.to_json()));
-        }
-        out.push('}');
-        if let Some(s) = &self.sampler {
-            out.push_str(",\"series\":");
-            out.push_str(&s.to_json());
-        }
-        out.push('}');
-        out
-    }
-
-    /// Rebuild a registry from the output of [`Registry::to_json`].
-    /// `from_json(to_json(r)).to_json() == to_json(r)` holds exactly.
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        let v = json::parse(s)?;
-        let obj = v.as_object().ok_or("registry: expected object")?;
-        let mut reg = Registry::new();
-        if let Some(stalls) = obj.get("stalls").and_then(|v| v.as_object()) {
-            for kind in Stall::ALL {
-                if let Some(n) = stalls.get(kind.name()).and_then(|v| v.as_u64()) {
-                    reg.stalls[kind.index()] = n;
+        match s.rec {
+            Rec::Detached => {}
+            Rec::Op => {
+                if let Some(t) = self.trace.as_mut() {
+                    let id = self.trace_stack.pop().unwrap_or(0);
+                    t.push(end, id, Phase::End, s.cat, s.name);
                 }
             }
+            _ => self.event(end, Phase::End, s.cat, s.name),
         }
-        if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
-            for (k, v) in cs {
-                reg.counters.insert(k.clone(), v.as_u64().ok_or("counter: expected u64")?);
-            }
-        }
-        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
-            for (k, v) in gs {
-                reg.gauges.insert(k.clone(), v.as_i64().ok_or("gauge: expected i64")?);
-            }
-        }
-        if let Some(hs) = obj.get("histograms").and_then(|v| v.as_object()) {
-            for (k, v) in hs {
-                reg.hists.insert(k.clone(), Histogram::from_json_value(v)?);
-            }
-        }
-        if let Some(sv) = obj.get("series") {
-            reg.sampler = Some(Sampler::from_json_value(sv)?);
-        }
-        Ok(reg)
     }
 }
 
-/// Cheaply clonable handle to a shared [`Registry`]. The simulation runs on
-/// a single thread in virtual time, so interior mutability via `RefCell` is
-/// sufficient (and keeps recording on the hot path allocation-free for
-/// existing names).
+/// Cheaply clonable handle to one telemetry domain: named histograms,
+/// counters and gauges, and (when enabled) the event-trace ring with its
+/// trace-ID stack, the gauge sampler and the latency anatomy. The
+/// simulation runs on a single thread in virtual time, so interior
+/// mutability via `RefCell` is sufficient, and recording on the hot path
+/// stays allocation-free for existing names.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
-    inner: Rc<RefCell<Registry>>,
+    inner: Rc<RefCell<Inner>>,
 }
 
 impl Telemetry {
@@ -572,237 +222,249 @@ impl Telemetry {
     }
 
     /// Record one latency sample into the named histogram.
+    ///
+    /// Steady-state recording is allocation-free: the name is only turned
+    /// into an owned `String` the first time it is seen.
     pub fn record(&self, name: &str, ns: Nanos) {
         self.inner.borrow_mut().record(name, ns);
     }
 
-    /// Add to a named counter.
+    /// Add to a named counter (allocation-free after the first sample).
     pub fn incr(&self, name: &str, by: u64) {
-        self.inner.borrow_mut().incr(name, by);
+        let counters = &mut self.inner.borrow_mut().counters;
+        if let Some(c) = counters.get_mut(name) {
+            *c += by;
+        } else {
+            counters.insert(name.to_string(), by);
+        }
     }
 
-    /// Set a named gauge.
+    /// Set a named gauge (allocation-free after the first sample).
     pub fn set_gauge(&self, name: &str, value: i64) {
-        self.inner.borrow_mut().set_gauge(name, value);
+        let gauges = &mut self.inner.borrow_mut().gauges;
+        if let Some(g) = gauges.get_mut(name) {
+            *g = value;
+        } else {
+            gauges.insert(name.to_string(), value);
+        }
     }
 
-    /// Attribute host blocking time (context-aware; see [`Registry::stall`]).
-    pub fn stall(&self, kind: Stall, ns: Nanos) {
-        self.inner.borrow_mut().stall(kind, ns);
-    }
-
-    /// Attribute host blocking time to `kind` regardless of context.
-    pub fn stall_exact(&self, kind: Stall, ns: Nanos) {
-        self.inner.borrow_mut().stall_exact(kind, ns);
-    }
-
-    /// Push a stall-attribution context; pair with [`Telemetry::pop_context`].
-    pub fn push_context(&self, kind: Stall) {
-        self.inner.borrow_mut().push_context(kind);
-    }
-
-    /// Pop the innermost stall-attribution context.
-    pub fn pop_context(&self) {
-        self.inner.borrow_mut().pop_context();
-    }
-
-    /// Open a [`Span`] at virtual time `start`; close it with
-    /// [`Span::finish`] at the operation's virtual completion time.
-    pub fn span(&self, name: &str, start: Nanos) -> Span {
-        Span { tel: self.clone(), name: name.to_string(), start }
-    }
-
-    /// Per-kind stall totals.
-    pub fn stall_totals(&self) -> StallTotals {
-        self.inner.borrow().stall_totals()
-    }
-
-    /// Clone of the named histogram, if present.
+    /// Clone of the named histogram, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner.borrow().histogram(name).cloned()
+        self.inner.borrow().hists.get(name).cloned()
     }
 
-    /// Named counter value.
+    /// Named counter (0 if never incremented).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner.borrow().counter(name)
+        self.inner.borrow().counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Copy of every counter, for steady-state delta windows (see
-    /// [`Registry::snapshot`]).
-    pub fn snapshot(&self) -> CounterSnapshot {
-        self.inner.borrow().snapshot()
-    }
-
-    /// Named gauge value.
+    /// Named gauge, if set.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.inner.borrow().gauge(name)
-    }
-
-    /// Names of all histograms with samples.
-    pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.borrow().histogram_names()
+        self.inner.borrow().gauges.get(name).copied()
     }
 
     /// Start recording trace events into a ring of `capacity` events.
     pub fn enable_tracing(&self, capacity: usize) {
-        self.inner.borrow_mut().enable_tracing(capacity);
+        self.inner.borrow_mut().trace = Some(TraceBuf::new(capacity));
     }
 
     /// True once tracing was enabled on this domain.
     pub fn tracing_enabled(&self) -> bool {
-        self.inner.borrow().tracing_enabled()
+        self.inner.borrow().trace.is_some()
     }
 
-    /// Open a host-operation trace scope (see [`Registry::begin_op`]).
-    pub fn begin_op(&self, cat: &str, name: &str, ts: Nanos) -> TraceId {
-        self.inner.borrow_mut().begin_op(cat, name, ts)
-    }
-
-    /// Close the innermost host-operation trace scope.
-    pub fn end_op(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().end_op(cat, name, ts);
-    }
-
-    /// Trace-ID of the operation currently in scope (0 if none).
-    pub fn current_trace(&self) -> TraceId {
-        self.inner.borrow().current_trace()
-    }
-
-    /// Record a `Begin` trace event under the current trace-ID.
-    pub fn trace_begin(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_begin(cat, name, ts);
-    }
-
-    /// Record an `End` trace event under the current trace-ID.
-    pub fn trace_end(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_end(cat, name, ts);
-    }
-
-    /// Record an `Instant` trace event under the current trace-ID.
+    /// Record an `Instant` trace event under the current trace-ID (no-op
+    /// when tracing is disabled).
     pub fn trace_instant(&self, cat: &str, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().trace_instant(cat, name, ts);
+        self.inner.borrow_mut().event(ts, Phase::Instant, cat, name);
     }
 
     /// Export the trace ring as Chrome trace-event JSON, if tracing is
     /// enabled.
     pub fn trace_chrome_json(&self) -> Option<String> {
-        self.inner.borrow().trace_buf().map(|t| t.to_chrome_json())
+        self.inner.borrow().trace.as_ref().map(|t| t.to_chrome_json())
     }
 
     /// `(recorded, dropped)` event totals of the trace ring, if enabled.
     pub fn trace_counts(&self) -> Option<(u64, u64)> {
-        self.inner.borrow().trace_buf().map(|t| (t.recorded(), t.dropped()))
+        self.inner.borrow().trace.as_ref().map(|t| (t.recorded(), t.dropped()))
     }
 
     /// Start sampling all gauges every `cadence` virtual nanoseconds.
     pub fn enable_sampling(&self, cadence: Nanos) {
-        self.inner.borrow_mut().enable_sampling(cadence);
+        self.inner.borrow_mut().sampler = Some(Sampler::new(cadence));
     }
 
-    /// Tick the sampler at virtual time `now` (cadence-gated no-op).
+    /// Tick the sampler at virtual time `now` (no-op unless sampling is
+    /// enabled and the cadence has elapsed). The engine and docstore call
+    /// this once per operation, so bench bins never need loop access.
     pub fn sample(&self, now: Nanos) {
-        self.inner.borrow_mut().sample(now);
+        let r = &mut *self.inner.borrow_mut();
+        if let Some(s) = r.sampler.as_mut() {
+            s.sample_if_due(now, &r.gauges);
+        }
     }
 
-    /// Take the final sample at end-of-run.
+    /// Take the final sample at end-of-run (always fires; see
+    /// [`Sampler::finish`]).
     pub fn finish_sampling(&self, now: Nanos) {
-        self.inner.borrow_mut().finish_sampling(now);
+        let r = &mut *self.inner.borrow_mut();
+        if let Some(s) = r.sampler.as_mut() {
+            s.finish(now, &r.gauges);
+        }
     }
 
     /// Export the sampled gauge series as CSV, if sampling is enabled.
     pub fn series_csv(&self) -> Option<String> {
-        self.inner.borrow().sampler().map(|s| s.to_csv())
+        self.inner.borrow().sampler.as_ref().map(|s| s.to_csv())
     }
 
-    /// Start per-op latency anatomy (top-`k` tail outliers per op name).
+    /// Start per-operation latency-anatomy tracking, capturing the `k`
+    /// slowest ops per name in the tail-outlier capturer. Until this is
+    /// called, every frame/segment hook is a free no-op.
     pub fn enable_anatomy(&self, k: usize) {
-        self.inner.borrow_mut().enable_anatomy(k);
+        self.inner.borrow_mut().anatomy = Some(Anatomy::new(k));
     }
 
-    /// True once anatomy was enabled on this domain.
-    pub fn anatomy_enabled(&self) -> bool {
-        self.inner.borrow().anatomy_enabled()
-    }
-
-    /// Open an attribution frame (see [`Registry::begin_frame`]).
+    /// Open a bare attribution frame for op `name` at `ts`, with no span
+    /// and no latency sample (harnesses that frame device commands
+    /// directly). The frame inherits the current trace-ID. No-op when
+    /// anatomy is disabled.
     pub fn begin_frame(&self, name: &str, ts: Nanos) {
-        self.inner.borrow_mut().begin_frame(name, ts);
+        self.inner.borrow_mut().begin_frame(name, ts, false);
     }
 
-    /// Close the innermost attribution frame (see [`Registry::end_frame`]).
+    /// Close the innermost attribution frame at `ts`: audits the
+    /// conservation identity, sweeps the unattributed remainder into
+    /// [`SegKind::Host`] (recording it in the `seg.host` histogram), and
+    /// offers the breakdown to the outlier capturer. No-op when anatomy is
+    /// disabled or no frame is open.
     pub fn end_frame(&self, name: &str, ts: Nanos) {
         self.inner.borrow_mut().end_frame(name, ts);
     }
 
-    /// Charge an attributed latency segment (see [`Registry::seg`]).
+    /// Charge `ns` nanoseconds of causally attributed segment `kind` into
+    /// the open frames (see [`Anatomy::charge`]) and the per-kind
+    /// `seg.<label>` histogram. A charge with no open frame (background
+    /// work outside any host op) is dropped; zero-length charges are free
+    /// no-ops.
     pub fn seg(&self, kind: SegKind, ns: Nanos) {
-        self.inner.borrow_mut().seg(kind, ns);
+        if ns == 0 {
+            return;
+        }
+        let mut r = self.inner.borrow_mut();
+        if r.anatomy.as_mut().is_some_and(|a| a.charge(kind, ns)) {
+            r.record(kind.hist_name(), ns);
+        }
     }
 
-    /// Conservation-audit counter: ops that over-claimed segments.
+    /// Ops whose claimed segments exceeded wall latency (must stay 0; the
+    /// anatomy conservation audit).
     pub fn anatomy_violations(&self) -> u64 {
-        self.inner.borrow().anatomy_violations()
+        self.inner.borrow().anatomy.as_ref().map_or(0, |a| a.violations())
     }
 
     /// Clone of the most recently closed per-op breakdown.
     pub fn last_breakdown(&self) -> Option<OpBreakdown> {
-        self.inner.borrow().last_breakdown().cloned()
+        self.inner.borrow().anatomy.as_ref().and_then(|a| a.last()).cloned()
     }
 
     /// Number of attribution frames currently open.
     pub fn frame_depth(&self) -> usize {
-        self.inner.borrow().frame_depth()
+        self.inner.borrow().anatomy.as_ref().map_or(0, |a| a.depth())
     }
 
     /// Retained tail outliers for one op name, slowest first.
     pub fn outliers_for(&self, name: &str) -> Vec<OpBreakdown> {
-        self.inner.borrow().outliers().map_or_else(Vec::new, |o| o.for_op(name).to_vec())
+        let r = self.inner.borrow();
+        r.anatomy.as_ref().map_or_else(Vec::new, |a| a.outliers().for_op(name).to_vec())
     }
 
     /// JSON export of the tail-outlier capturer (written next to the
     /// Chrome trace), if anatomy is enabled.
     pub fn outliers_json(&self) -> Option<String> {
-        self.inner.borrow().outliers().map(|o| o.to_json())
+        self.inner.borrow().anatomy.as_ref().map(|a| a.outliers().to_json())
     }
 
-    /// Drop all recorded data.
+    /// Drop all recorded data. Tracing, sampling and anatomy stay enabled
+    /// with their buffers emptied; trace-IDs keep advancing.
     pub fn reset(&self) {
-        self.inner.borrow_mut().reset();
+        let r = &mut *self.inner.borrow_mut();
+        r.hists.clear();
+        r.counters.clear();
+        r.gauges.clear();
+        if let Some(t) = &mut r.trace {
+            t.clear();
+        }
+        if let Some(s) = &mut r.sampler {
+            s.clear();
+        }
+        if let Some(a) = &mut r.anatomy {
+            a.clear();
+        }
     }
 
-    /// Run `f` with direct access to the registry.
-    pub fn with<T>(&self, f: impl FnOnce(&Registry) -> T) -> T {
-        f(&self.inner.borrow())
-    }
-
-    /// JSON export of the whole registry (lossless; see
-    /// [`Registry::from_json`]).
+    /// Serialise counters, gauges, histograms and (when sampling) the gauge
+    /// series to a JSON object. Histograms are exported with their raw
+    /// (index, count) bucket list so the export is lossless.
     pub fn to_json(&self) -> String {
-        self.inner.borrow().to_json()
+        fn section<V>(
+            out: &mut String,
+            key: &str,
+            m: &BTreeMap<String, V>,
+            v: impl Fn(&V) -> String,
+        ) {
+            out.push_str(&format!("\"{key}\":{{"));
+            for (i, (k, x)) in m.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(&format!("{}:{}", json::quote(k), v(x)));
+            }
+            out.push('}');
+        }
+        let r = self.inner.borrow();
+        let mut out = String::with_capacity(4096);
+        out.push('{');
+        section(&mut out, "counters", &r.counters, |v| v.to_string());
+        out.push(',');
+        section(&mut out, "gauges", &r.gauges, |v| v.to_string());
+        out.push(',');
+        section(&mut out, "histograms", &r.hists, |h| h.to_json());
+        if let Some(s) = &r.sampler {
+            out.push_str(",\"series\":");
+            out.push_str(&s.to_json());
+        }
+        out.push('}');
+        out
     }
-}
 
-/// An open measurement scope keyed on virtual time. Created by
-/// [`Telemetry::span`]; call [`Span::finish`] with the virtual completion
-/// time to record `end - start` into the named histogram.
-#[derive(Debug)]
-pub struct Span {
-    tel: Telemetry,
-    name: String,
-    start: Nanos,
-}
-
-impl Span {
-    /// Close the span at virtual time `end` and record its duration.
-    /// Returns `end` so call sites can thread the clock through.
-    pub fn finish(self, end: Nanos) -> Nanos {
-        self.tel.record(&self.name, end.saturating_sub(self.start));
-        end
-    }
-
-    /// The span's opening time.
-    pub fn start(&self) -> Nanos {
-        self.start
+    /// Rebuild a handle from the output of [`Telemetry::to_json`].
+    /// `from_json(to_json(t)).to_json() == to_json(t)` holds exactly.
+    pub fn from_json(s: &str) -> Result<Self, String> {
+        let v = json::parse(s)?;
+        let obj = v.as_object().ok_or("telemetry: expected object")?;
+        let mut r = Inner::default();
+        if let Some(cs) = obj.get("counters").and_then(|v| v.as_object()) {
+            for (k, v) in cs {
+                r.counters.insert(k.clone(), v.as_u64().ok_or("counter: expected u64")?);
+            }
+        }
+        if let Some(gs) = obj.get("gauges").and_then(|v| v.as_object()) {
+            for (k, v) in gs {
+                r.gauges.insert(k.clone(), v.as_i64().ok_or("gauge: expected i64")?);
+            }
+        }
+        if let Some(hs) = obj.get("histograms").and_then(|v| v.as_object()) {
+            for (k, v) in hs {
+                r.hists.insert(k.clone(), Histogram::from_json_value(v)?);
+            }
+        }
+        if let Some(sv) = obj.get("series") {
+            r.sampler = Some(Sampler::from_json_value(sv)?);
+        }
+        Ok(Self { inner: Rc::new(RefCell::new(r)) })
     }
 }
 
@@ -823,70 +485,21 @@ mod tests {
     }
 
     #[test]
-    fn counter_snapshot_deltas_bound_a_window() {
-        let t = Telemetry::new();
-        t.incr("warmup_only", 7);
-        t.incr("ops", 10);
-        let start = t.snapshot();
-        t.incr("ops", 5);
-        t.incr("born_in_window", 2);
-        let end = t.snapshot();
-        // Snapshots are frozen copies: later increments don't leak in.
-        t.incr("ops", 100);
-        let d = start.delta(&end);
-        assert_eq!(d.get("ops"), Some(&5));
-        assert_eq!(d.get("born_in_window"), Some(&2));
-        // Unchanged counters are omitted from the delta entirely.
-        assert!(!d.contains_key("warmup_only"));
-        assert_eq!(start.counter("ops"), 10);
-        assert_eq!(end.counter("ops"), 15);
-        assert_eq!(end.counter("never_seen"), 0);
-    }
-
-    #[test]
     fn spans_record_durations() {
         let t = Telemetry::new();
-        let sp = t.span("wal.commit", 100);
-        assert_eq!(sp.start(), 100);
-        let end = sp.finish(350);
-        assert_eq!(end, 350);
+        let s = Scope::open(Some(&t), "wal", "wal.commit", 100, Rec::Hist("wal.commit"));
+        s.close(350);
         let h = t.histogram("wal.commit").unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.max(), 250);
-    }
-
-    #[test]
-    fn stall_attribution_respects_context() {
-        let t = Telemetry::new();
-        t.stall(Stall::Media, 100);
-        t.push_context(Stall::WalFsync);
-        t.stall(Stall::Media, 40); // re-attributed
-        t.stall(Stall::FlushCache, 60); // re-attributed
-        t.pop_context();
-        t.stall(Stall::FlushCache, 7);
-        t.stall_exact(Stall::Gc, 5);
-        let s = t.stall_totals();
-        assert_eq!(s.media, 100);
-        assert_eq!(s.wal_fsync, 100);
-        assert_eq!(s.flush_cache, 7);
-        assert_eq!(s.gc, 5);
-        assert_eq!(s.pool_eviction, 0);
-        assert_eq!(s.total(), 212);
-    }
-
-    #[test]
-    fn nested_contexts_use_innermost() {
-        let t = Telemetry::new();
-        t.push_context(Stall::WalFsync);
-        t.push_context(Stall::PoolEviction);
-        t.stall(Stall::Media, 10);
-        t.pop_context();
-        t.stall(Stall::Media, 5);
-        t.pop_context();
-        let s = t.stall_totals();
-        assert_eq!(s.pool_eviction, 10);
-        assert_eq!(s.wal_fsync, 5);
-        assert_eq!(s.media, 0);
+        // A span-only scope keeps no sample; a failed command keeps none.
+        Scope::open(Some(&t), "nand", "nand.program", 0, Rec::Span).close(10);
+        assert!(t.histogram("nand.program").is_none());
+        Scope::open(Some(&t), "dev", "dev.x.write", 0, Rec::Command).abort(0);
+        assert!(t.histogram("dev.x.write").is_none());
+        // Without a handle a scope records nothing.
+        Scope::open(None, "wal", "wal.commit", 0, Rec::Hist("wal.commit")).close(99);
+        assert_eq!(t.histogram("wal.commit").unwrap().count(), 1);
     }
 
     #[test]
@@ -908,16 +521,12 @@ mod tests {
             t.record("dev.write", v);
         }
         t.record("odd \"name\" \\ here", 77);
-        t.stall(Stall::FlushCache, 1234);
-        t.stall(Stall::Media, 9);
         let j1 = t.to_json();
-        let reg = Registry::from_json(&j1).expect("parse back");
-        let j2 = reg.to_json();
-        assert_eq!(j1, j2, "round trip must be lossless");
-        assert_eq!(reg.counter("engine.commits"), 42);
-        assert_eq!(reg.gauge("neg"), Some(-3));
-        assert_eq!(reg.stall_totals().flush_cache, 1234);
-        let h = reg.histogram("dev.write").unwrap();
+        let back = Telemetry::from_json(&j1).expect("parse back");
+        assert_eq!(j1, back.to_json(), "round trip must be lossless");
+        assert_eq!(back.counter("engine.commits"), 42);
+        assert_eq!(back.gauge("neg"), Some(-3));
+        let h = back.histogram("dev.write").unwrap();
         assert_eq!(h.count(), 6);
         assert_eq!(h.max(), u64::MAX);
         assert_eq!(h.min(), 0);
@@ -926,28 +535,25 @@ mod tests {
     #[test]
     fn op_scopes_assign_trace_ids_and_nest() {
         let t = Telemetry::new();
-        // Disabled: begin_op is a free no-op returning 0.
-        assert_eq!(t.begin_op("engine", "engine.put", 0), 0);
-        assert_eq!(t.current_trace(), 0);
+        // Disabled: an op scope emits nothing and allocates no trace-ID.
+        Scope::open(Some(&t), "engine", "engine.put", 0, Rec::Op).close(5);
+        assert_eq!(t.trace_counts(), None);
         t.enable_tracing(1024);
-        let id1 = t.begin_op("engine", "engine.put", 10);
-        assert_eq!(id1, 1);
-        assert_eq!(t.current_trace(), id1);
-        t.trace_begin("wal", "wal.append", 12);
-        t.trace_end("wal", "wal.append", 20);
-        t.end_op("engine", "engine.put", 25);
-        assert_eq!(t.current_trace(), 0);
-        let id2 = t.begin_op("engine", "engine.commit", 30);
-        assert_eq!(id2, 2, "each op gets a fresh trace-ID");
-        t.end_op("engine", "engine.commit", 40);
+        let op = Scope::open(Some(&t), "engine", "engine.put", 10, Rec::Op);
+        let wal = Scope::open(Some(&t), "wal", "wal.append", 12, Rec::Span);
+        wal.close(20);
+        op.close(25);
+        Scope::open(Some(&t), "engine", "engine.commit", 30, Rec::Op).close(40);
         let doc = t.trace_chrome_json().unwrap();
         let chk = validate_chrome_json(&doc).expect("valid chrome trace");
         assert_eq!(chk.begins, 3);
-        assert_eq!(chk.tracks, 2);
+        assert_eq!(chk.tracks, 2, "each op gets a fresh trace-ID");
         // The wal event inherited op 1's trace-ID.
         assert!(doc.contains(
             "\"name\":\"wal.append\",\"cat\":\"wal\",\"ph\":\"B\",\"ts\":0.012,\"pid\":1,\"tid\":1"
         ));
+        assert!(doc.contains("\"name\":\"engine.commit\",\"cat\":\"engine\",\"ph\":\"E\""));
+        assert!(doc.contains("\"tid\":2"));
         assert_eq!(t.trace_counts(), Some((6, 0)));
     }
 
@@ -964,11 +570,12 @@ mod tests {
         t.incr("ops", 2);
         let j1 = t.to_json();
         assert!(j1.contains("\"series\":{"), "series section must be exported");
-        let reg = Registry::from_json(&j1).expect("parse back");
-        assert_eq!(reg.to_json(), j1, "series round trip must be lossless");
-        let s = reg.sampler().unwrap();
-        assert_eq!(s.times(), &[0, 150, 220]);
-        assert_eq!(s.series()["ssd.cache_occupancy"].start, 1);
+        let back = Telemetry::from_json(&j1).expect("parse back");
+        assert_eq!(back.to_json(), j1, "series round trip must be lossless");
+        assert_eq!(
+            back.series_csv().unwrap(),
+            "t_ns,pool.dirty_pages,ssd.cache_occupancy\n0,5,\n150,9,3\n220,9,3\n"
+        );
     }
 
     #[test]
@@ -992,8 +599,7 @@ mod tests {
         t.enable_tracing(64);
         t.enable_sampling(10);
         t.set_gauge("g", 1);
-        let id = t.begin_op("engine", "op", 0);
-        t.end_op("engine", "op", 5);
+        Scope::open(Some(&t), "engine", "op", 0, Rec::Op).close(5);
         t.sample(0);
         t.reset();
         assert!(t.tracing_enabled());
@@ -1002,8 +608,8 @@ mod tests {
         assert_eq!(validate_chrome_json(&doc).unwrap().events, 0);
         assert!(t.series_csv().unwrap().lines().count() == 1, "header only");
         // Trace-IDs keep advancing; no reuse after reset.
-        t.set_gauge("g", 2);
-        assert!(t.begin_op("engine", "op", 10) > id);
+        Scope::open(Some(&t), "engine", "op", 10, Rec::Op).close(12);
+        assert!(t.trace_chrome_json().unwrap().contains("\"tid\":2"));
     }
 
     #[test]
@@ -1017,20 +623,20 @@ mod tests {
         assert_eq!(t.anatomy_violations(), 0);
 
         t.enable_anatomy(4);
-        // Frames open via begin_op even with tracing disabled (trace-ID 0).
-        assert_eq!(t.begin_op("engine", "engine.commit", 1_000), 0);
+        // Frames open with op scopes even with tracing disabled.
+        let op = Scope::open(Some(&t), "engine", "engine.commit", 1_000, Rec::Op);
         assert_eq!(t.frame_depth(), 1);
-        t.begin_frame("dev.log.write", 1_100);
+        let dev = Scope::open(Some(&t), "dev", "dev.log.write", 1_100, Rec::Command);
         t.seg(SegKind::MediaProgram, 300);
         t.seg(SegKind::NcqWait, 50);
-        t.end_frame("dev.log.write", 1_500);
+        dev.close(1_500);
         let dev = t.last_breakdown().unwrap();
         assert_eq!(dev.wall, 400);
         assert_eq!(dev.seg(SegKind::MediaProgram), 300);
         assert_eq!(dev.seg(SegKind::Host), 50, "400 - 350 attributed");
         assert!(dev.is_conserved());
         t.seg(SegKind::WalFsync, 200);
-        t.end_op("engine", "engine.commit", 2_000);
+        op.close(2_000);
         let op = t.last_breakdown().unwrap();
         assert_eq!(op.name, "engine.commit");
         assert_eq!(op.wall, 1_000);
@@ -1040,10 +646,13 @@ mod tests {
         assert!(op.is_conserved());
         assert_eq!(t.anatomy_violations(), 0);
         assert_eq!(t.frame_depth(), 0);
-        // Per-kind histograms recorded on every charge + host remainders.
+        // Per-kind histograms recorded on every charge + host remainders,
+        // and each scope's own latency sample.
         assert_eq!(t.histogram("seg.media_program").unwrap().count(), 1);
         assert_eq!(t.histogram("seg.wal_fsync").unwrap().count(), 1);
         assert_eq!(t.histogram("seg.host").unwrap().count(), 2);
+        assert_eq!(t.histogram("engine.commit").unwrap().max(), 1_000);
+        assert_eq!(t.histogram("dev.log.write").unwrap().max(), 400);
         // Both closed frames were offered to the outlier capturer.
         assert_eq!(t.outliers_for("engine.commit").len(), 1);
         assert_eq!(t.outliers_for("dev.log.write").len(), 1);
@@ -1051,17 +660,41 @@ mod tests {
     }
 
     #[test]
+    fn detached_scopes_keep_their_charges() {
+        let t = Telemetry::new();
+        t.enable_tracing(64);
+        t.enable_anatomy(4);
+        let op = Scope::open(Some(&t), "engine", "engine.commit", 1_000, Rec::Op);
+        // Background work the op did not wait for, issued before it began.
+        let bg = Scope::open(Some(&t), "wal", "wal.group_flush", 900, Rec::Detached);
+        let dev = Scope::open(Some(&t), "dev", "dev.log.write", 900, Rec::Command);
+        t.seg(SegKind::MediaProgram, 300);
+        dev.close(1_200);
+        bg.close(1_200);
+        let bg = t.last_breakdown().unwrap();
+        assert_eq!(bg.seg(SegKind::MediaProgram), 300, "child charges reach the detached frame");
+        op.close(1_000);
+        let op = t.last_breakdown().unwrap();
+        assert_eq!(op.wall, 0);
+        assert_eq!(op.seg(SegKind::MediaProgram), 0, "and stop there");
+        assert_eq!(t.anatomy_violations(), 0);
+        // A detached scope emits no span and keeps no latency sample.
+        assert!(!t.trace_chrome_json().unwrap().contains("wal.group_flush"));
+        assert!(t.histogram("wal.group_flush").is_none());
+    }
+
+    #[test]
     fn anatomy_frames_inherit_trace_ids() {
         let t = Telemetry::new();
         t.enable_tracing(256);
         t.enable_anatomy(2);
-        let id = t.begin_op("doc", "doc.set", 10);
+        let op = Scope::open(Some(&t), "doc", "doc.set", 10, Rec::Op);
         t.begin_frame("dev.doc.write", 20);
         t.end_frame("dev.doc.write", 30);
-        assert_eq!(t.last_breakdown().unwrap().trace, id, "frame carries op trace-ID");
-        t.end_op("doc", "doc.set", 40);
-        assert_eq!(t.last_breakdown().unwrap().trace, id);
-        // Frames emit no trace events: only the op's Begin/End pair exists.
+        assert_eq!(t.last_breakdown().unwrap().trace, 1, "frame carries op trace-ID");
+        op.close(40);
+        assert_eq!(t.last_breakdown().unwrap().trace, 1);
+        // Bare frames emit no trace events: only the op's Begin/End pair exists.
         assert_eq!(t.trace_counts(), Some((2, 0)));
     }
 
@@ -1075,9 +708,8 @@ mod tests {
         let walls = [700u64, 23, 9_999, 140, 3, 9_999, 512];
         let mut now = 0;
         for w in walls {
-            t.begin_frame("doc.set", now);
-            t.end_frame("doc.set", now + w);
-            t.record("doc.set", w);
+            let s = Scope::open(Some(&t), "doc", "doc.set", now, Rec::Op);
+            s.close(now + w);
             now += w;
         }
         let h = t.histogram("doc.set").unwrap();
@@ -1100,8 +732,8 @@ mod tests {
         let before = t.to_json();
         t.enable_anatomy(4);
         assert_eq!(t.to_json(), before);
-        let reg = Registry::from_json(&before).expect("parse back");
-        assert_eq!(reg.to_json(), before);
+        let back = Telemetry::from_json(&before).expect("parse back");
+        assert_eq!(back.to_json(), before);
     }
 
     #[test]
@@ -1113,13 +745,12 @@ mod tests {
         t.end_frame("op", 50);
         assert!(t.last_breakdown().is_some());
         t.reset();
-        assert!(t.anatomy_enabled());
         assert!(t.last_breakdown().is_none());
         assert_eq!(t.anatomy_violations(), 0);
         assert!(t.outliers_for("op").is_empty());
         t.begin_frame("op2", 100);
         t.end_frame("op2", 130);
-        assert_eq!(t.last_breakdown().unwrap().wall, 30);
+        assert_eq!(t.last_breakdown().unwrap().wall, 30, "anatomy still enabled");
     }
 
     #[test]
@@ -1127,10 +758,10 @@ mod tests {
         let t = Telemetry::new();
         t.incr("a", 1);
         t.record("h", 10);
-        t.stall(Stall::Gc, 5);
+        t.set_gauge("g", 2);
         t.reset();
         assert_eq!(t.counter("a"), 0);
         assert!(t.histogram("h").is_none());
-        assert_eq!(t.stall_totals().total(), 0);
+        assert_eq!(t.gauge("g"), None);
     }
 }

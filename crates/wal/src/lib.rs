@@ -50,7 +50,7 @@ use simkit::{crc32, Nanos};
 use storage::device::{BlockDevice, WriteCause, LOGICAL_PAGE};
 use storage::file::PageFile;
 use storage::volume::{Volume, VolumeManager};
-use telemetry::{SegKind, Stall, Telemetry};
+use telemetry::{Rec, Scope, SegKind, Telemetry};
 
 pub use record::{CheckpointPolicy, LogRecord, RECORD_VERSION};
 
@@ -169,8 +169,7 @@ pub struct Wal {
     /// across flushes so steady-state commits do not allocate.
     run_scratch: Vec<u8>,
     stats: WalStats,
-    /// Optional telemetry sink. Physical flushes run under a `WalFsync`
-    /// stall context so device-level blocked time is attributed to the log.
+    /// Optional telemetry sink; see [`Wal::attach_telemetry`].
     tel: Option<Telemetry>,
     /// Optional durability ledger: each physical flush completion is
     /// recorded as `wal-flush` evidence with the LSN it covered.
@@ -222,12 +221,11 @@ impl Wal {
         self.stats
     }
 
-    /// Attach a telemetry sink. Records `wal.commit` / `wal.quiesce` /
-    /// `wal.checkpoint` latency histograms and runs physical log flushes
-    /// under a [`Stall::WalFsync`] context so that every nanosecond the
-    /// host blocks inside the log — device media time, FLUSH CACHE waits,
-    /// group-commit queueing — is attributed to `wal_fsync` rather than
-    /// generic media time.
+    /// Attach a telemetry sink. Commits, quiesces, checkpoints and
+    /// physical flushes each run in one `wal` scope that records a latency
+    /// histogram of the same name (`wal.commit`, `wal.quiesce`,
+    /// `wal.checkpoint`, `wal.flush`); time spent queueing behind a flush
+    /// is charged to the enclosing operation's latency anatomy.
     pub fn attach_telemetry(&mut self, tel: Telemetry) {
         self.tel = Some(tel);
     }
@@ -349,12 +347,7 @@ impl Wal {
     /// completion time. Caller manages `inflight`/`durable_lsn`.
     fn flush_buffer<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
         debug_assert!(!self.buf.is_empty());
-        // Everything the host waits on inside a log flush is log-commit
-        // time: re-attribute device stalls to `wal_fsync`.
-        if let Some(tel) = &self.tel {
-            tel.push_context(Stall::WalFsync);
-            tel.trace_begin("wal", "wal.flush", now);
-        }
+        let scope = Scope::open(self.tel.as_ref(), "wal", "wal.flush", now, Rec::Hist("wal.flush"));
         // Provenance: a flush dominated by full-page-image sidecars is
         // page-image traffic, otherwise plain log appends. (One flush covers
         // one cause — block-granular classification by majority byte count,
@@ -416,10 +409,8 @@ impl Wal {
         self.buf.clear();
         self.run_scratch = run;
         self.stats.flushes += 1;
+        scope.close(t);
         if let Some(tel) = &self.tel {
-            tel.pop_context();
-            tel.record("wal.flush", t.saturating_sub(now));
-            tel.trace_end("wal", "wal.flush", t);
             tel.set_gauge("wal.buffered_bytes", 0);
         }
         if let Some(ledger) = &self.ledger {
@@ -438,9 +429,8 @@ impl Wal {
     }
 
     /// Charge time spent waiting on an in-flight or promised log flush (a
-    /// wait that never reaches the device layer) to the `wal_fsync` stall
-    /// bucket, and — when latency anatomy is enabled — to the enclosing
-    /// op's breakdown so group-commit queueing shows up per op. The segment
+    /// wait that never reaches the device layer) to the enclosing op's
+    /// latency anatomy, so group-commit queueing shows up per op. The segment
     /// kind follows what the awaited flush *is*: with write barriers the
     /// flush is overwhelmingly a FLUSH CACHE drain, so queueing behind it
     /// is `flush_cache` time; on a nobarrier (durable-cache) deployment it
@@ -448,7 +438,6 @@ impl Wal {
     fn note_wait(&self, ns: Nanos, barriers: bool) {
         if ns > 0 {
             if let Some(tel) = &self.tel {
-                tel.stall_exact(Stall::WalFsync, ns);
                 tel.seg(if barriers { SegKind::FlushCache } else { SegKind::WalFsync }, ns);
             }
         }
@@ -463,9 +452,20 @@ impl Wal {
                 self.inflight = None;
                 if self.group_end.take().is_some() && !self.buf.is_empty() {
                     // The queued group flush starts right where the previous
-                    // one ended.
+                    // one ended. It runs on behalf of the commits that joined
+                    // it, which were charged their wait when they joined, not
+                    // of the operation that happens to fire it: a detached
+                    // frame keeps its device time out of that operation.
                     let covers = self.next_lsn;
+                    let scope = Scope::open(
+                        self.tel.as_ref(),
+                        "wal",
+                        "wal.group_flush",
+                        end,
+                        Rec::Detached,
+                    );
                     let done = self.flush_buffer(vol, end);
+                    scope.close(done);
                     self.last_flush_dur = done.saturating_sub(end).max(1);
                     self.inflight = Some((done, covers));
                     self.durable_lsn = covers;
@@ -479,15 +479,11 @@ impl Wal {
     /// flush already in flight just waits for it; in group-commit mode, a
     /// commit whose records are *not* covered joins the next batched flush.
     pub fn commit<D: BlockDevice>(&mut self, vol: &mut Volume<D>, lsn: Lsn, now: Nanos) -> Nanos {
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.commit", now);
-        }
+        let scope =
+            Scope::open(self.tel.as_ref(), "wal", "wal.commit", now, Rec::Hist("wal.commit"));
         self.commits_since_ckpt += 1;
         let done = self.commit_inner(vol, lsn, now);
-        if let Some(tel) = &self.tel {
-            tel.record("wal.commit", done.saturating_sub(now));
-            tel.trace_end("wal", "wal.commit", done);
-        }
+        scope.close(done);
         done
     }
 
@@ -544,9 +540,8 @@ impl Wal {
     /// checkpoints and by crash harnesses that need strict durability under
     /// group-commit mode. Returns the completion time.
     pub fn quiesce<D: BlockDevice>(&mut self, vol: &mut Volume<D>, now: Nanos) -> Nanos {
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.quiesce", now);
-        }
+        let quiesce = Rec::Hist("wal.quiesce");
+        let scope = Scope::open(self.tel.as_ref(), "wal", "wal.quiesce", now, quiesce);
         let mut t = now;
         if let Some((end, upto)) = self.inflight.take() {
             self.note_wait(end.saturating_sub(t), vol.barriers());
@@ -559,10 +554,7 @@ impl Wal {
             t = self.flush_buffer(vol, t);
             self.durable_lsn = covers;
         }
-        if let Some(tel) = &self.tel {
-            tel.record("wal.quiesce", t.saturating_sub(now));
-            tel.trace_end("wal", "wal.quiesce", t);
-        }
+        scope.close(t);
         t
     }
 
@@ -578,14 +570,10 @@ impl Wal {
         assert!(lsn <= self.next_lsn);
         self.checkpoint_lsn = self.checkpoint_lsn.max(lsn);
         self.commits_since_ckpt = 0;
-        if let Some(tel) = &self.tel {
-            tel.trace_begin("wal", "wal.checkpoint", now);
-        }
+        let checkpoint = Rec::Hist("wal.checkpoint");
+        let scope = Scope::open(self.tel.as_ref(), "wal", "wal.checkpoint", now, checkpoint);
         let done = self.write_header(vol, now);
-        if let Some(tel) = &self.tel {
-            tel.record("wal.checkpoint", done.saturating_sub(now));
-            tel.trace_end("wal", "wal.checkpoint", done);
-        }
+        scope.close(done);
         done
     }
 
@@ -595,16 +583,10 @@ impl Wal {
         hdr[8..16].copy_from_slice(&self.checkpoint_lsn.to_le_bytes());
         let crc = crc32(&hdr[..16]);
         hdr[16..20].copy_from_slice(&crc.to_le_bytes());
-        if let Some(tel) = &self.tel {
-            tel.push_context(Stall::WalFsync);
-        }
         vol.push_cause(WriteCause::WalAppend);
         let t = self.files[0].write_page(vol, 0, &hdr, now).expect("header block exists");
         let t = vol.fsync(t).expect("log device reachable");
         vol.pop_cause();
-        if let Some(tel) = &self.tel {
-            tel.pop_context();
-        }
         t
     }
 

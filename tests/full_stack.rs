@@ -5,6 +5,9 @@
 use docstore::{DocStore, DocStoreConfig};
 use durassd::{Ssd, SsdConfig};
 use relstore::{Engine, EngineConfig};
+use simkit::ClosedLoop;
+use storage::BlockDevice;
+use telemetry::{SegKind, N_SEG};
 use workloads::{linkbench, tpcc, ycsb};
 
 fn dura() -> Ssd {
@@ -205,9 +208,10 @@ fn ssd_gc_under_database_load_preserves_data() {
     assert_eq!(e.stats().corrupt_reads, 0);
 }
 
-/// Run the same commit-heavy workload and return where the engine's blocked
-/// time went, per the telemetry stall taxonomy.
-fn stalls_for(data: Ssd, log: Ssd, barriers: bool) -> telemetry::StallTotals {
+/// Run the same commit-heavy workload with latency anatomy on and return
+/// the run's segment sums (virtual ns per [`SegKind`], the `seg.*`
+/// histograms), indexed by `SegKind::index`.
+fn segments_for(data: Ssd, log: Ssd, barriers: bool) -> [u128; N_SEG] {
     let cfg = EngineConfig::builder(4096)
         .buffer_pool_bytes(32 * 4096)
         .double_write(false)
@@ -218,6 +222,7 @@ fn stalls_for(data: Ssd, log: Ssd, barriers: bool) -> telemetry::StallTotals {
         .dwb_pages(32)
         .build();
     let tel = telemetry::Telemetry::new();
+    tel.enable_anatomy(1);
     let (mut e, t0) = Engine::create(data, log, cfg, 0).into_parts();
     e.attach_telemetry(tel.clone());
     let (tree, t1) = e.create_tree(t0).into_parts();
@@ -230,34 +235,67 @@ fn stalls_for(data: Ssd, log: Ssd, barriers: bool) -> telemetry::StallTotals {
         }
     }
     e.checkpoint(now);
-    tel.stall_totals()
+    assert_eq!(tel.anatomy_violations(), 0);
+    SegKind::ALL.map(|k| tel.histogram(k.hist_name()).map_or(0, |h| h.sum()))
 }
 
-/// The paper's §3 deployment claim, stated as a stall-accounting identity:
+/// The paper's §3 deployment claim, stated as a latency-anatomy identity:
 /// a capacitor-backed cache lets the host run `nobarrier`, so not one
 /// nanosecond is ever spent waiting on a device cache flush — while the
 /// volatile device, which *must* keep barriers on for the same durability
-/// guarantee, pays a flush-cache stall on every commit.
+/// guarantee, pays flush-cache time on every commit.
 #[test]
 fn durable_cache_eliminates_flush_stalls() {
+    let flush = SegKind::FlushCache.index();
     // Durable cache, lean config: fsync never issues a device FLUSH.
-    let durable = stalls_for(dura(), dura(), false);
-    assert_eq!(
-        durable.flush_cache, 0,
-        "nobarrier on a durable cache must never stall on a device flush"
-    );
+    let durable = segments_for(dura(), dura(), false);
+    assert_eq!(durable[flush], 0, "nobarrier on a durable cache must never wait on a device flush");
     // Volatile cache: durability requires barriers, and barriers cost.
-    let volatile = stalls_for(Ssd::new(SsdConfig::ssd_a(16)), Ssd::new(SsdConfig::ssd_a(16)), true);
-    assert!(
-        volatile.flush_cache > 0,
-        "a volatile cache with barriers must attribute stall time to flush_cache"
-    );
+    let volatile =
+        segments_for(Ssd::new(SsdConfig::ssd_a(16)), Ssd::new(SsdConfig::ssd_a(16)), true);
+    assert!(volatile[flush] > 0, "a volatile cache with barriers must wait in flush_cache");
     // Both runs still did real I/O: the difference is attribution, not idleness.
-    assert!(durable.total() > 0, "durable run should still record media/WAL stalls");
-    assert!(volatile.total() > durable.total());
+    let total = |s: [u128; N_SEG]| s.iter().sum::<u128>();
+    assert!(total(durable) > 0, "durable run should still record media/WAL segments");
+    assert!(total(volatile) > total(durable));
 }
 
-/// Trace-level twin of [`stalls_for`]: same commit-heavy workload with
+/// Group commit fires the queued log flush inside whichever later commit
+/// notices the previous flush has finished, at that flush's end time —
+/// before the commit began. The deferred flush runs in its own detached
+/// frame: were its device time charged to the commit that fired it (which
+/// waits only for its own promised ack), that commit would claim more
+/// segment time than its wall latency.
+#[test]
+fn group_commit_keeps_the_anatomy_conserved() {
+    for (dev, barriers) in [(dura as fn() -> Ssd, false), (|| Ssd::new(SsdConfig::ssd_a(16)), true)]
+    {
+        let cfg = EngineConfig::builder(4096)
+            .buffer_pool_bytes(64 * 4096)
+            .barriers(barriers)
+            .data_pages(4096)
+            .log_files(2)
+            .log_file_blocks(1024)
+            .dwb_pages(32)
+            .build();
+        let tel = telemetry::Telemetry::new();
+        tel.enable_anatomy(4);
+        let (mut e, t0) = Engine::create(dev(), dev(), cfg, 0).into_parts();
+        e.set_group_commit(true);
+        e.attach_telemetry(tel.clone());
+        let (tree, t1) = e.create_tree(t0).into_parts();
+        let mut i = 0u64;
+        ClosedLoop::new(8, t1).run(1_200, |_, now| {
+            i += 1;
+            let t = e.put(tree, format!("k{:04}", i % 300).as_bytes(), &[b'g'; 200], now);
+            e.commit(t)
+        });
+        assert!(!tel.outliers_for("wal.group_flush").is_empty(), "deferred group flushes fired");
+        assert_eq!(tel.anatomy_violations(), 0, "barriers {barriers}");
+    }
+}
+
+/// Trace-level twin of [`segments_for`]: same commit-heavy workload with
 /// event tracing enabled end to end (devices attached *before* the engine
 /// so firmware spans record), exported as Chrome trace JSON.
 fn trace_for(mut data: Ssd, mut log: Ssd, barriers: bool) -> String {
