@@ -55,41 +55,20 @@ cargo run -p bench --release -q --bin recovery -- \
 test -s "$TRACE_TMP/recovery.json"
 grep -q '"schema":"durassd.recovery.v1"' "$TRACE_TMP/recovery.json"
 
-echo "== perf smoke (tiny ops, schema-validated BENCH_perf.json) =="
-# No absolute-speed gate: CI machines are noisy. --check fails on schema
-# drift, NaN or zero throughput; that is the invariant worth pinning.
-cargo run -p bench --release -q --bin perf -- \
-    --fio-ops 2000 --ycsb-records 200 --ycsb-ops 400 --warehouses 1 --txns 20 \
-    --out "$TRACE_TMP/perf.json" --check >"$TRACE_TMP/perf.out"
-test -s "$TRACE_TMP/perf.json"
-grep -q '"schema": *"durassd.perf.v2"' "$TRACE_TMP/perf.json"
-
-echo "== waf smoke (write-provenance conservation, schema-validated BENCH_waf.json) =="
-# --check fails on schema drift, any row whose per-cause counts do not sum
-# to its totals (attribution leak), or durable < volatile absorption.
-cargo run -p bench --release -q --bin waf -- \
-    --fio-ops 4000 --fio-span 512 --ycsb-records 200 --ycsb-ops 800 \
-    --warehouses 1 --txns 40 --out "$TRACE_TMP/waf.json" --check \
-    >"$TRACE_TMP/waf.out"
-test -s "$TRACE_TMP/waf.json"
-grep -q '"schema":"durassd.waf.v1"' "$TRACE_TMP/waf.json"
-
-echo "== latency smoke (per-op anatomy, schema-validated BENCH_latency.json) =="
-# --check fails on schema drift, a conservation violation (segments exceed
-# an op's wall latency), any flush-cache time in a durable tail, or a
-# volatile tail that is not flush-dominated.
-cargo run -p bench --release -q --bin latency -- \
-    --fio-ops 4000 --fio-span 512 --ycsb-records 200 --ycsb-ops 1500 \
-    --warehouses 1 --txns 100 --out "$TRACE_TMP/latency.json" --check \
-    >"$TRACE_TMP/latency.out"
-test -s "$TRACE_TMP/latency.json"
-grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/latency.json"
-
-echo "== tail smoke (anatomy-backed tail claim: durable runs flush-free) =="
-cargo run -p bench --release -q --bin tail -- \
-    --ops 20000 --json "$TRACE_TMP/tail.json" --check >"$TRACE_TMP/tail.out"
-test -s "$TRACE_TMP/tail.json"
-grep -q '"schema":"durassd.latency.v1"' "$TRACE_TMP/tail.json"
+echo "== behaviour contract (observatory and recovery regenerate the checked-in BENCH files) =="
+# observatory --check fails on schema drift, a write the per-cause attribution
+# cannot explain, durable < volatile absorption, an anatomy conservation
+# violation, flush-cache time in a durable tail, or a volatile tail that is not
+# flush-dominated. The cmp then pins every figure of the checked-in documents.
+cargo run -p bench --release -q --bin observatory -- \
+    --check --out-dir "$TRACE_TMP" >"$TRACE_TMP/observatory.out"
+cmp "$TRACE_TMP/BENCH_waf.json" BENCH_waf.json
+cmp "$TRACE_TMP/BENCH_latency.json" BENCH_latency.json
+# Recovery at default scale: everything but the host wall-clock field is pinned.
+cargo run -p bench --release -q --bin recovery -- \
+    --out "$TRACE_TMP/BENCH_recovery.json" --check >"$TRACE_TMP/recovery_full.out"
+mask='s/"recovery_wall_ns":[0-9]*/"recovery_wall_ns":N/g'
+cmp <(sed "$mask" "$TRACE_TMP/BENCH_recovery.json") <(sed "$mask" BENCH_recovery.json)
 
 echo "== table3 smoke (group-commit engine run; an anatomy violation fails the bin) =="
 # print_telemetry exits non-zero when the latency anatomy counted an op whose

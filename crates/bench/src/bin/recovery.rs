@@ -22,7 +22,7 @@
 //! SSD and a Cheetah-class disk both with barriers) × two checkpoint
 //! intervals, for both the relational engine and the document store.
 //! Writes `BENCH_recovery.json` (schema `durassd.recovery.v1`); `--check`
-//! re-validates it with [`bench::validate_recovery_report`] and exits
+//! re-validates it with [`bench::schema::check_recovery_report`] and exits
 //! non-zero on violation.
 //!
 //! Flags: `--commits N` (relational commits per trial), `--doc-ops N`,
@@ -30,9 +30,9 @@
 //!
 //! Run: `cargo run -p bench --release --bin recovery`
 
+use bench::schema::{check_recovery_report, RECOVERY_SCHEMA};
 use bench::{
-    arg_flag, arg_str, arg_u64, durassd_bench, fmt_ns, hdd_bench, rule, ssd_a_bench,
-    validate_recovery_report, write_atomic, RECOVERY_SCHEMA,
+    arg_flag, arg_str, arg_u64, durassd_bench, fmt_ns, hdd_bench, rule, ssd_a_bench, write_atomic,
 };
 use docstore::{DocStore, DocStoreConfig};
 use relstore::{Engine, EngineConfig};
@@ -258,7 +258,7 @@ fn main() {
     println!("wrote {out}");
 
     if check {
-        let failures = validate_recovery_report(&doc);
+        let failures = check_recovery_report(&doc);
         if failures.is_empty() {
             println!("check : OK (schema, device/interval coverage, checkpoint-bounded replay)");
         } else {

@@ -22,13 +22,10 @@
 //!
 //! Run: `cargo run -p bench --release --bin trace -- --check`
 
+use bench::scenario::{tpcc_engine, ycsb_store};
 use bench::{arg_flag, arg_str, arg_u64, durassd_bench, write_atomic, TelemetrySink};
-use docstore::{DocStore, DocStoreConfig};
-use relstore::{Engine, EngineConfig};
-use storage::BlockDevice;
 use telemetry::{parse_json, validate_chrome_json, JsonValue, Telemetry};
-use workloads::tpcc;
-use workloads::ycsb;
+use workloads::{tpcc, ycsb};
 
 /// One virtual timeline for both bursts: the document store runs first, the
 /// engine is created at the YCSB end time, so the exported trace shows the
@@ -55,19 +52,7 @@ fn main() {
     );
 
     // Phase 1: YCSB-A on the document store (fsync batch 10, barriers on).
-    let mut doc_dev = durassd_bench(true);
-    doc_dev.attach_telemetry(tel.clone());
-    let cfg = DocStoreConfig {
-        batch_size: 10,
-        barriers: true,
-        file_blocks: 200_000,
-        auto_compact_pct: 0,
-        checkpoint_every_n_commits: 8,
-    };
-    let mut store = DocStore::create(doc_dev, cfg);
-    store.attach_telemetry(tel.clone());
-    let spec = ycsb::YcsbSpec::workload_a(records, ops);
-    let t0 = ycsb::load(&mut store, &spec, 0);
+    let (mut store, spec, t0) = ycsb_store(durassd_bench(true), true, records, ops, 0, &tel);
     let rep = ycsb::run(&mut store, &spec, t0);
     let t1 = rep.finished_at;
     println!("  ycsb : {:>8.0} ops/s   (virtual [0, {:.1}ms])", rep.throughput(), t1 as f64 / 1e6);
@@ -76,22 +61,8 @@ fn main() {
     // commit's full chain (engine.commit -> wal.flush -> dev write ->
     // flush_cache -> cache drain -> NAND program) runs inline under one
     // trace-ID.
-    let mut data = durassd_bench(true);
-    data.attach_telemetry(tel.clone());
-    let mut log = durassd_bench(true);
-    log.attach_telemetry(tel.clone());
-    let spec = tpcc::TpccSpec { clients: 8, ..tpcc::TpccSpec::scaled(warehouses, txns) };
-    let est = warehouses as u64
-        * (spec.items as u64 * 300 + spec.districts as u64 * spec.customers as u64 * 470 + 40_960);
-    let ecfg = EngineConfig::builder(4096)
-        .buffer_pool_bytes((est / 10).max(512 * 1024))
-        .barriers(true)
-        .data_pages((est * 4 / 4096).max(16_384))
-        .log_file_blocks(8_192)
-        .build();
-    let (mut engine, t2) = Engine::create(data, log, ecfg, t1).into_parts();
-    engine.attach_telemetry(tel.clone());
-    let (mut db, t3) = tpcc::load(&mut engine, &spec, t2);
+    let (data, log) = (durassd_bench(true), durassd_bench(true));
+    let (mut engine, mut db, spec, t3) = tpcc_engine(data, log, true, warehouses, txns, t1, &tel);
     let rep = tpcc::run(&mut engine, &mut db, &spec, t3);
     let t_end = rep.finished_at;
     println!(

@@ -1,15 +1,19 @@
-//! Shared helpers for the experiment binaries (one per paper table/figure)
-//! and the Criterion microbenches.
+//! Shared helpers for the experiment binaries (one per paper table/figure,
+//! plus the `observatory`, `recovery`, `crashmatrix` and `trace` bins).
 //!
 //! Every binary prints the paper's rows next to the measured values so the
 //! shape comparison is immediate. Scales are chosen so each cell finishes in
-//! seconds of wall-clock time; override with `--scale N` where supported.
+//! seconds of wall-clock time; the bins take their sizes as flags.
+//! [`scenario`] is the catalogue of deployments and device stacks the
+//! `observatory` and `trace` bins run; [`schema`] validates every JSON
+//! report the bins write.
 
 use durassd::{Ssd, SsdConfig};
 use forensics::DeviceHealth;
 use hdd::{Hdd, HddConfig};
 use telemetry::{OpBreakdown, SegKind, Telemetry};
 
+pub mod scenario;
 pub mod schema;
 
 /// Blocks per plane used by the benchmark SSDs: 16 ⇒ 4GB raw, ~3.4GB
@@ -59,10 +63,25 @@ pub fn arg_u64(name: &str, default: u64) -> u64 {
     })
 }
 
-/// Parse a `--flag value` string argument (`None` when absent).
+/// The value of `--flag value` in `args`, or `None` when the flag is
+/// absent. A flag without a value, or followed by another `--flag`, is an
+/// error naming it.
+pub fn parse_str_flag(args: &[String], name: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    match args.get(i + 1) {
+        Some(v) if !v.starts_with("--") => Ok(Some(v.clone())),
+        _ => Err(format!("{name}: missing value")),
+    }
+}
+
+/// Parse a `--flag value` string argument of the process (`None` when
+/// absent); exits with status 2 and a message when the value is missing.
 pub fn arg_str(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
+    parse_str_flag(&args, name).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Whether a bare `--flag` is present.
@@ -137,16 +156,8 @@ impl TelemetrySink {
             if i > 0 {
                 out.push(',');
             }
-            out.push('"');
-            for c in label.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push_str("\":");
+            out.push_str(&telemetry::quote_json(label));
+            out.push(':');
             out.push_str(json);
         }
         out.push('}');
@@ -154,18 +165,6 @@ impl TelemetrySink {
         println!("telemetry: wrote {} section(s) to {path}", self.sections.len());
         Some(path.to_string())
     }
-}
-
-/// Schema tag the `recovery` bin writes and [`validate_recovery_report`]
-/// gates on. Re-exported from [`schema`], where all report validators live.
-pub const RECOVERY_SCHEMA: &str = schema::RECOVERY_SCHEMA;
-
-/// Validate a serialized `BENCH_recovery.json` document. Returns the list
-/// of violations (empty = valid). Thin alias for
-/// [`schema::check_recovery_report`], kept under the name the `recovery`
-/// bin grew up with.
-pub fn validate_recovery_report(doc: &str) -> Vec<String> {
-    schema::check_recovery_report(doc)
 }
 
 /// Print a rule line for report tables.
@@ -322,7 +321,7 @@ pub fn seg_table_json(tel: &Telemetry) -> String {
 
 /// One captured op breakdown rendered as a `tail` object for
 /// `durassd.latency.v1` rows: wall latency, its flush-cache share (the
-/// durability gate both `latency --check` and `tail --check` run on), the
+/// durability gate `observatory --check` runs on), the
 /// trace-ID for cross-referencing the Chrome trace, and the non-zero
 /// segments.
 pub fn breakdown_tail_json(bd: &OpBreakdown) -> String {
@@ -399,6 +398,7 @@ pub fn fmt_rate(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use schema::{check_recovery_report, RECOVERY_SCHEMA};
 
     #[test]
     fn rate_formatting() {
@@ -449,6 +449,18 @@ mod tests {
             Err("--commits: expected an unsigned integer, got `abc`".to_string())
         );
         assert_eq!(parse_u64_flag(&args, "--seed", 7), Err("--seed: missing value".to_string()));
+
+        // A string flag with no value, or followed by another flag, is an
+        // error rather than "absent" or a file named `--check`.
+        let args: Vec<String> =
+            ["bin", "--out-dir", "d", "--out", "--check", "--trace-out"].map(String::from).to_vec();
+        assert_eq!(parse_str_flag(&args, "--out-dir"), Ok(Some("d".to_string())));
+        assert_eq!(parse_str_flag(&args, "--absent"), Ok(None));
+        assert_eq!(parse_str_flag(&args, "--out"), Err("--out: missing value".to_string()));
+        assert_eq!(
+            parse_str_flag(&args, "--trace-out"),
+            Err("--trace-out: missing value".to_string())
+        );
     }
 
     #[test]
@@ -508,11 +520,7 @@ mod tests {
             recovery_row("relstore", "hdd", 256, 3, 9),
             recovery_row("docstore", "durassd", 256, 0, 4),
         );
-        assert!(
-            validate_recovery_report(&good).is_empty(),
-            "{:?}",
-            validate_recovery_report(&good)
-        );
+        assert!(check_recovery_report(&good).is_empty(), "{:?}", check_recovery_report(&good));
 
         // DuraSSD relstore row with nothing replayed: flagged.
         let bad = format!(
@@ -521,7 +529,7 @@ mod tests {
             recovery_row("relstore", "ssd_volatile", 2048, 3, 9),
             recovery_row("relstore", "hdd", 256, 3, 9),
         );
-        let fails = validate_recovery_report(&bad);
+        let fails = check_recovery_report(&bad);
         assert!(fails.iter().any(|f| f.contains("replayed")), "{fails:?}");
         assert!(fails.iter().any(|f| f.contains("skipped")), "{fails:?}");
 
@@ -530,13 +538,13 @@ mod tests {
             "{{\"schema\":\"{RECOVERY_SCHEMA}\",\"rows\":[{}]}}",
             recovery_row("relstore", "durassd", 256, 3, 9),
         );
-        let fails = validate_recovery_report(&narrow);
+        let fails = check_recovery_report(&narrow);
         assert!(fails.iter().any(|f| f.contains("distinct devices")), "{fails:?}");
         assert!(fails.iter().any(|f| f.contains("distinct checkpoint intervals")), "{fails:?}");
 
         // Wrong schema tag and garbage both flagged.
-        assert!(!validate_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
-        assert!(!validate_recovery_report("not json").is_empty());
+        assert!(!check_recovery_report("{\"schema\":\"nope\",\"rows\":[]}").is_empty());
+        assert!(!check_recovery_report("not json").is_empty());
     }
 
     #[test]

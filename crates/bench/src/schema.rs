@@ -1,114 +1,64 @@
 //! Structural validators for every machine-readable artifact the bench bins
 //! write.
 //!
-//! Four bins emit schema-tagged JSON documents at the repo root — `perf`
-//! (`BENCH_perf.json`), `recovery` (`BENCH_recovery.json`), `crashmatrix`
-//! (`--json`), and `waf` (`BENCH_waf.json`) — and each offers a `--check`
-//! flag that `ci.sh` runs as a regression gate. The checks used to live next
-//! to each bin (and one in the forensics crate), three hand-rolled copies of
-//! the same parse / tag / walk-the-rows skeleton. This module is the single
-//! home: one helper set, one validator per schema, every validator returning
-//! the full list of violations (empty = valid) so a gate can print them all
-//! instead of the first.
+//! Three bins emit schema-tagged JSON documents — `observatory`
+//! (`BENCH_waf.json` and `BENCH_latency.json`), `recovery`
+//! (`BENCH_recovery.json`) and `crashmatrix` (`--json`) — and each offers a
+//! `--check` flag that `ci.sh` runs as a regression gate. This module is the
+//! single home of those checks: one helper set, one validator per schema,
+//! every validator returning the full list of violations (empty = valid) so
+//! a gate can print them all instead of the first.
 
 use std::collections::BTreeMap;
 use storage::device::WriteCause;
 use telemetry::JsonValue;
 
-/// Schema tag for `BENCH_perf.json` (the `perf` bin). v2 added `reps` and
-/// the wall ops/s spread (`wall_ops_per_sec_min`/`_max`); `wall_ns` and
-/// `wall_ops_per_sec` hold the median repetition.
-pub const PERF_SCHEMA: &str = "durassd.perf.v2";
 /// Schema tag for `BENCH_recovery.json` (the `recovery` bin).
 pub const RECOVERY_SCHEMA: &str = "durassd.recovery.v1";
 /// Schema tag for crash-campaign reports (`crashmatrix --json`).
 pub const FORENSICS_SCHEMA: &str = "durassd.forensics.v1";
-/// Schema tag for `BENCH_waf.json` (the `waf` bin).
+/// Schema tag for `BENCH_waf.json` (the `observatory` bin).
 pub const WAF_SCHEMA: &str = "durassd.waf.v1";
-/// Schema tag for `BENCH_latency.json` (the `latency` bin) and the `tail`
-/// bin's `--json` output.
+/// Schema tag for `BENCH_latency.json` (the `observatory` bin).
 pub const LATENCY_SCHEMA: &str = "durassd.latency.v1";
 
 type Obj = BTreeMap<String, JsonValue>;
 
-/// Parse `doc` and return the top-level object, or the single fatal failure.
-fn top_object(doc: &str, what: &str) -> Result<JsonValue, Vec<String>> {
-    let v = telemetry::parse_json(doc).map_err(|e| vec![format!("{what} does not parse: {e}")])?;
-    if v.as_object().is_none() {
-        return Err(vec![format!("{what}: top level is not an object")]);
-    }
-    Ok(v)
-}
-
-/// Check the `schema` tag, appending a violation when it is absent or wrong.
-fn check_tag(obj: &Obj, want: &str, failures: &mut Vec<String>) {
+/// Parse `doc`, check its `schema` tag against `want` and take its
+/// non-empty `rows` array. A wrong tag is recorded and the walk goes on; a
+/// document without rows to walk records why and returns `None`.
+fn tagged_rows(
+    doc: &str,
+    what: &str,
+    want: &str,
+    failures: &mut Vec<String>,
+) -> Option<Vec<JsonValue>> {
+    let v = match telemetry::parse_json(doc) {
+        Ok(v) => v,
+        Err(e) => {
+            failures.push(format!("{what} does not parse: {e}"));
+            return None;
+        }
+    };
+    let Some(obj) = v.as_object() else {
+        failures.push(format!("{what}: top level is not an object"));
+        return None;
+    };
     match obj.get("schema").and_then(|s| s.as_str()) {
         Some(s) if s == want => {}
         other => failures.push(format!("schema tag {other:?}, want {want:?}")),
     }
+    match obj.get("rows").and_then(|r| r.as_array()) {
+        None => failures.push("rows array missing".into()),
+        Some(rows) if rows.is_empty() => failures.push("rows array empty".into()),
+        Some(rows) => return Some(rows.clone()),
+    }
+    None
 }
 
 /// Fetch a numeric field as f64 (accepts any JSON number).
 fn num(row: &Obj, key: &str) -> Option<f64> {
     row.get(key).and_then(|v| v.as_f64())
-}
-
-/// Validate a serialized `BENCH_perf.json` document: parses, carries the
-/// [`PERF_SCHEMA`] tag, every scenario has positive finite wall and sim
-/// throughput, and its median wall throughput lies within the recorded
-/// spread (`wall_ops_per_sec_min <= wall_ops_per_sec <= wall_ops_per_sec_max`).
-pub fn check_perf_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_perf.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
-    let mut failures = Vec::new();
-    check_tag(obj, PERF_SCHEMA, &mut failures);
-    match obj.get("scenarios").and_then(|s| s.as_array()) {
-        None => failures.push("scenarios array missing".into()),
-        Some(list) if list.is_empty() => failures.push("scenarios array empty".into()),
-        Some(list) => {
-            for s in list {
-                let Some(s) = s.as_object() else {
-                    failures.push("scenario is not an object".into());
-                    continue;
-                };
-                let name = s.get("name").and_then(|v| v.as_str()).unwrap_or("?");
-                for key in [
-                    "wall_ops_per_sec",
-                    "wall_ops_per_sec_min",
-                    "wall_ops_per_sec_max",
-                    "sim_ops_per_sec",
-                ] {
-                    match num(s, key) {
-                        Some(x) if x.is_finite() && x > 0.0 => {}
-                        other => {
-                            failures.push(format!("{name}.{key} = {other:?}: want finite positive"))
-                        }
-                    }
-                }
-                if let (Some(lo), Some(mid), Some(hi)) = (
-                    num(s, "wall_ops_per_sec_min"),
-                    num(s, "wall_ops_per_sec"),
-                    num(s, "wall_ops_per_sec_max"),
-                ) {
-                    if !(lo <= mid && mid <= hi) {
-                        failures.push(format!(
-                            "{name}: wall ops/s min {lo} <= median {mid} <= max {hi} violated"
-                        ));
-                    }
-                }
-                for key in ["ops", "reps", "wall_ns", "sim_ns"] {
-                    match num(s, key) {
-                        Some(x) if x > 0.0 => {}
-                        other => failures.push(format!("{name}.{key} = {other:?}: want positive")),
-                    }
-                }
-            }
-        }
-    }
-    failures
 }
 
 /// Validate a serialized `BENCH_recovery.json` document:
@@ -121,21 +71,10 @@ pub fn check_perf_report(doc: &str) -> Vec<String> {
 /// - the DuraSSD relational rows actually exercise checkpoint-bounded
 ///   replay: at least one record replayed *and* at least one skipped.
 pub fn check_recovery_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "recovery report") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
     let mut failures = Vec::new();
-    check_tag(obj, RECOVERY_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
+    let Some(rows) = tagged_rows(doc, "recovery report", RECOVERY_SCHEMA, &mut failures) else {
         return failures;
     };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
     let mut devices = std::collections::BTreeSet::new();
     let mut intervals = std::collections::BTreeSet::new();
     for (i, row) in rows.iter().enumerate() {
@@ -312,21 +251,10 @@ fn forensics_first_problem(doc: &str) -> Result<(), String> {
 ///   the durable row absorbs at least as much as its volatile twin (the
 ///   paper's claim, stated as an inequality so it is scale-independent).
 pub fn check_waf_report(doc: &str) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_waf.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
     let mut failures = Vec::new();
-    check_tag(obj, WAF_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
+    let Some(rows) = tagged_rows(doc, "BENCH_waf.json", WAF_SCHEMA, &mut failures) else {
         return failures;
     };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
     let mut workloads = std::collections::BTreeSet::new();
     // workload → (durable absorbed, volatile absorbed)
     let mut absorbed: BTreeMap<String, (Option<f64>, Option<f64>)> = BTreeMap::new();
@@ -463,28 +391,10 @@ fn check_segment_table(tag: &str, segs: &Obj, failures: &mut Vec<String>) {
 ///   so commits never wait on FLUSH CACHE), while every volatile tail is
 ///   flush-dominated (`flush_frac ≥ 0.5`).
 pub fn check_latency_report(doc: &str) -> Vec<String> {
-    check_latency_report_with(doc, 3)
-}
-
-/// [`check_latency_report`] with a caller-chosen floor on distinct
-/// workloads: the `tail` bin's mixed run emits two (reads and writes), the
-/// full `latency` observatory emits three.
-pub fn check_latency_report_with(doc: &str, min_workloads: usize) -> Vec<String> {
-    let v = match top_object(doc, "BENCH_latency.json") {
-        Ok(v) => v,
-        Err(f) => return f,
-    };
-    let obj = v.as_object().expect("checked by top_object");
     let mut failures = Vec::new();
-    check_tag(obj, LATENCY_SCHEMA, &mut failures);
-    let Some(rows) = obj.get("rows").and_then(|r| r.as_array()) else {
-        failures.push("rows array missing".into());
+    let Some(rows) = tagged_rows(doc, "BENCH_latency.json", LATENCY_SCHEMA, &mut failures) else {
         return failures;
     };
-    if rows.is_empty() {
-        failures.push("rows array empty".into());
-        return failures;
-    }
     let mut workloads: BTreeMap<String, (bool, bool)> = BTreeMap::new();
     for (i, row) in rows.iter().enumerate() {
         let Some(row) = row.as_object() else {
@@ -570,9 +480,9 @@ pub fn check_latency_report_with(doc: &str, min_workloads: usize) -> Vec<String>
             _ => {}
         }
     }
-    if workloads.len() < min_workloads {
+    if workloads.len() < 3 {
         let names: Vec<_> = workloads.keys().collect();
-        failures.push(format!("want ≥ {min_workloads} distinct workloads, got {names:?}"));
+        failures.push(format!("want ≥ 3 distinct workloads, got {names:?}"));
     }
     for (workload, (dur, vol)) in &workloads {
         if !(*dur && *vol) {
@@ -840,25 +750,5 @@ mod tests {
         let empty =
             "{\"schema\":\"durassd.forensics.v1\",\"seed\":1,\"keys\":1,\"cuts\":1,\"rows\":[]}";
         assert!(!check_forensics_report(empty).is_empty());
-    }
-
-    #[test]
-    fn perf_report_validation() {
-        let good = format!(
-            "{{\"schema\":\"{PERF_SCHEMA}\",\"peak_rss_bytes\":1,\"scenarios\":[\
-             {{\"name\":\"fio\",\"ops\":10,\"reps\":5,\"wall_ns\":20,\"wall_ops_per_sec\":5.0,\
-             \"wall_ops_per_sec_min\":4.0,\"wall_ops_per_sec_max\":6.0,\
-             \"sim_ns\":30,\"sim_ops_per_sec\":7.0,\"allocs\":0,\"allocs_per_op\":0}}]}}"
-        );
-        assert!(check_perf_report(&good).is_empty(), "{:?}", check_perf_report(&good));
-        let zero = good.replace("\"wall_ops_per_sec\":5.0", "\"wall_ops_per_sec\":0");
-        assert!(check_perf_report(&zero).iter().any(|f| f.contains("wall_ops_per_sec")));
-        // The median must lie within the recorded spread.
-        let outside = good.replace("\"wall_ops_per_sec_max\":6.0", "\"wall_ops_per_sec_max\":4.5");
-        assert!(check_perf_report(&outside).iter().any(|f| f.contains("min")));
-        // A single-shot report without the spread is rejected.
-        let single = good.replace("\"wall_ops_per_sec_min\":4.0,", "");
-        assert!(check_perf_report(&single).iter().any(|f| f.contains("wall_ops_per_sec_min")));
-        assert!(!check_perf_report("{}").is_empty());
     }
 }

@@ -6,7 +6,7 @@
 //! recording must not allocate at all. The simulation is single-threaded
 //! and fully deterministic, so an exact-zero assertion is stable — any new
 //! per-op allocation on these paths fails the suite instead of silently
-//! regressing `BENCH_perf.json`.
+//! regressing the benchmark's allocations per op.
 //!
 //! Two subtleties make the assertions meaningful:
 //!

@@ -9,6 +9,7 @@
 
 use crate::reconcile::CutReport;
 use crate::snapshot::DevicePostmortem;
+use telemetry::quote_json;
 
 /// Schema tag stamped into every report; bump on incompatible changes.
 pub const SCHEMA: &str = "durassd.forensics.v1";
@@ -30,28 +31,10 @@ pub struct CampaignReport {
     pub rows: Vec<CutReport>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 fn postmortem_json(p: &DevicePostmortem) -> String {
     let mut o = String::from("{");
-    o.push_str(&format!("\"device\":{},", esc(&p.device)));
-    o.push_str(&format!("\"protection\":{},", esc(&p.protection)));
+    o.push_str(&format!("\"device\":{},", quote_json(&p.device)));
+    o.push_str(&format!("\"protection\":{},", quote_json(&p.protection)));
     o.push_str(&format!("\"cut_at\":{},", p.cut_at));
     o.push_str(&format!("\"dirty_slots\":{},", p.dirty_slots.len()));
     let lpns: Vec<String> = p
@@ -96,26 +79,26 @@ fn postmortem_json(p: &DevicePostmortem) -> String {
 
 fn row_json(r: &CutReport) -> String {
     let mut o = String::from("{");
-    o.push_str(&format!("\"label\":{},", esc(&r.label)));
+    o.push_str(&format!("\"label\":{},", quote_json(&r.label)));
     o.push_str(&format!("\"cut_at_op\":{},", r.cut_at_op));
-    o.push_str(&format!("\"cut_phase\":{},", esc(&r.cut_phase)));
+    o.push_str(&format!("\"cut_phase\":{},", quote_json(&r.cut_phase)));
     o.push_str(&format!("\"cut_at_ns\":{},", r.cut_at_ns));
     o.push_str(&format!(
         "\"tally\":{{\"survived\":{},\"acked_lost\":{},\"torn\":{},\"stale\":{},\"never_acked\":{}}},",
         r.tally.survived, r.tally.acked_lost, r.tally.torn, r.tally.stale, r.tally.never_acked
     ));
     o.push_str(&format!("\"durable\":{},", r.durable));
-    o.push_str(&format!("\"verdict\":{},", esc(&r.verdict)));
+    o.push_str(&format!("\"verdict\":{},", quote_json(&r.verdict)));
     let losses: Vec<String> = r
         .losses
         .iter()
         .map(|f| {
             let mut l = String::from("{");
-            l.push_str(&format!("\"unit\":{},", esc(&f.unit)));
-            l.push_str(&format!("\"kind\":{},", esc(f.kind.as_str())));
-            l.push_str(&format!("\"classification\":{},", esc(f.classification.as_str())));
+            l.push_str(&format!("\"unit\":{},", quote_json(&f.unit)));
+            l.push_str(&format!("\"kind\":{},", quote_json(f.kind.as_str())));
+            l.push_str(&format!("\"classification\":{},", quote_json(f.classification.as_str())));
             match f.contract {
-                Some(c) => l.push_str(&format!("\"contract\":{},", esc(c.as_str()))),
+                Some(c) => l.push_str(&format!("\"contract\":{},", quote_json(c.as_str()))),
                 None => l.push_str("\"contract\":null,"),
             }
             match f.acked_at {
@@ -123,8 +106,8 @@ fn row_json(r: &CutReport) -> String {
                 None => l.push_str("\"acked_at\":null,"),
             }
             let layer = f.layer.map(|x| x.as_str()).unwrap_or("unattributed");
-            l.push_str(&format!("\"layer\":{},", esc(layer)));
-            l.push_str(&format!("\"evidence\":{}", esc(&f.evidence)));
+            l.push_str(&format!("\"layer\":{},", quote_json(layer)));
+            l.push_str(&format!("\"evidence\":{}", quote_json(&f.evidence)));
             l.push('}');
             l
         })
@@ -138,7 +121,7 @@ fn row_json(r: &CutReport) -> String {
         .map(|s| {
             format!(
                 "{{\"device\":{},\"ready_at\":{},\"requeued_slots\":{},\"recovered_via_dump\":{},\"scan_only\":{}}}",
-                esc(&s.device), s.ready_at, s.requeued_slots, s.recovered_via_dump, s.scan_only
+                quote_json(&s.device), s.ready_at, s.requeued_slots, s.recovered_via_dump, s.scan_only
             )
         })
         .collect();
@@ -147,10 +130,10 @@ fn row_json(r: &CutReport) -> String {
         .ack_evidence
         .iter()
         .map(|(k, row)| {
-            let contract = row.last_contract.map(|c| esc(c.as_str())).unwrap_or("null".into());
+            let contract = row.last_contract.map(|c| quote_json(c.as_str())).unwrap_or("null".into());
             format!(
                 "{}:{{\"count\":{},\"first_at\":{},\"last_at\":{},\"last_contract\":{},\"last_detail\":{}}}",
-                esc(k.as_str()), row.count, row.first_at, row.last_at, contract, row.last_detail
+                quote_json(k.as_str()), row.count, row.first_at, row.last_at, contract, row.last_detail
             )
         })
         .collect();
@@ -165,7 +148,7 @@ impl CampaignReport {
         let rows: Vec<String> = self.rows.iter().map(row_json).collect();
         format!(
             "{{\"schema\":{},\"seed\":{},\"keys\":{},\"cuts\":{},\"rows\":[{}]}}",
-            esc(SCHEMA),
+            quote_json(SCHEMA),
             self.seed,
             self.keys,
             self.cuts,

@@ -1,6 +1,6 @@
 //! A counting wrapper around the system allocator.
 //!
-//! The perf harness and the zero-allocation regression tests both need to
+//! The benchmark and the allocation regression tests both need to
 //! know how many heap allocations a stretch of code performed. Rust allows
 //! exactly one `#[global_allocator]` per binary, so this module only
 //! *defines* the wrapper; each binary that wants counting registers it
@@ -108,8 +108,8 @@ mod tests {
 
     // NOTE: the wrapper is not registered as the global allocator in the
     // library test binary, so the counters stay at zero here; the real
-    // counting behaviour is exercised by the root `zero_alloc` integration
-    // test and the `perf` bench bin, which do register it.
+    // counting behaviour is exercised by the bench crate's `zero_alloc` and
+    // `catalogue_determinism` integration tests, which do register it.
     #[test]
     fn counters_are_monotone_and_safe_to_read() {
         let a = alloc_count();

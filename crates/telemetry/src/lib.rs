@@ -39,7 +39,7 @@ mod trace;
 
 pub use anatomy::{Anatomy, OpBreakdown, OutlierCap, SegKind, N_SEG};
 pub use hist::Histogram;
-pub use json::{parse as parse_json, JsonValue};
+pub use json::{parse as parse_json, quote as quote_json, JsonValue};
 pub use trace::{
     validate_chrome_json, Event, Phase, Sampler, Series, TraceBuf, TraceCheck, TraceId,
     CHROME_EVENT_FIELDS,
